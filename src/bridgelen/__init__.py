@@ -8,8 +8,8 @@ quotient graph and certifying connectivity of the lifted periodic graph
 with Smith Normal Form invariant factors.
 """
 
-from .bridge import BridgeReport, bridge_length, mst_longest_edge, r_upper_bound
-from .edges import CandidateEdge, EdgeGenerator, new_generator
+from .bridge import BridgeReport, bridge_length, mst_longest_edge
+from .edges import CandidateEdge, EdgeGenerator
 from .errors import (
     DegenerateCell,
     EmptyInput,
@@ -70,12 +70,10 @@ __all__ = [
     "facet_heights",
     "in_span",
     "mst_longest_edge",
-    "new_generator",
     "oracle_bridge_length",
     "parse_cif",
     "parse_json_set",
     "patch_points",
-    "r_upper_bound",
     "read_set_file",
     "snf",
     "spans_lattice",

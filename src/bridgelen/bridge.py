@@ -54,7 +54,7 @@ class BridgeReport:
     trace_truncated: bool = False
 
 
-def bridge_length(pset: PeriodicSet, shell_cap=None) -> BridgeReport:
+def bridge_length(pset: PeriodicSet) -> BridgeReport:
     """Exact bridge length with a full provenance trace.
 
     Edges are classified against the growing forest; cycle sums outside the
@@ -67,7 +67,7 @@ def bridge_length(pset: PeriodicSet, shell_cap=None) -> BridgeReport:
     t0 = time.perf_counter()
     metrics = cell_metrics(pset.basis)
     horizon = metrics.r_upper * (1.0 + _HORIZON_SLACK)
-    gen = EdgeGenerator(pset, max_length=horizon, shell_cap=shell_cap)
+    gen = EdgeGenerator(pset, max_length=horizon)
     state = QuotientState(pset.motif_size, pset.dim)
     snf_state = OnlineSnfState(pset.dim)
     examined = 0
@@ -100,11 +100,6 @@ def bridge_length(pset: PeriodicSet, shell_cap=None) -> BridgeReport:
         "termination certificates held; this is an internal invariant "
         "violation"
     )
-
-
-def r_upper_bound(pset: PeriodicSet) -> float:
-    """Cell-derived upper bound max(b, d/2) on the bridge length."""
-    return cell_metrics(pset.basis).r_upper
 
 
 def mst_longest_edge(points) -> float:

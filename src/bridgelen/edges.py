@@ -20,12 +20,7 @@ shortest motif-to-face distances measured along that height direction.
 Crossing from the central cell into shell sigma advances at least
 (sigma - 1) full heights plus the exit and entry legs in some direction,
 so the bound is exact for rectangular cells and safe for skewed ones.
-This is what makes the stream provably monotone; the two classical gates
-(the min of the freshly enumerated batch, and the basis-length variant of
-the formula above) are exposed for inspection as
-:meth:`EdgeGenerator.release_bound_simple` and
-:meth:`EdgeGenerator.release_bound_fast` but are not used for release
-decisions, since both can overestimate future minima on skewed cells.
+This is what makes the stream provably monotone.
 
 A generator is single-owner mutable state; distinct generators are
 independent.
@@ -96,19 +91,14 @@ class EdgeGenerator:
         self._cart = pset.cartesian_motif
         self.metrics = cell_metrics(pset.basis)
         heights = facet_heights(pset.basis)
-        lens = pset.basis.lengths()
         frac = pset.motif.points
         to_high_face = (1.0 - frac).min(axis=0)  # min over motif, per axis
         to_low_face = frac.min(axis=0)
         self._heights = heights
         self._alpha_h = to_high_face * heights
         self._beta_h = to_low_face * heights
-        self._alpha_len = to_high_face * lens
-        self._beta_len = to_low_face * lens
-        self._lens = lens
         self._heap: list[CandidateEdge] = []
         self._next_shell = 0
-        self._last_batch_min = math.inf
         self.max_length = max_length
         self.shell_cap = (
             math.ceil(self.metrics.aspect) + 2 if shell_cap is None else shell_cap
@@ -116,13 +106,8 @@ class EdgeGenerator:
         self._iu = np.triu_indices(self._m, k=1)
 
     @property
-    def shell_index(self) -> int:
-        """Index of the last enumerated shell (-1 before any)."""
-        return self._next_shell - 1
-
-    @property
     def shells_enumerated(self) -> int:
-        """Number of shells enumerated so far (indices 0..shell_index)."""
+        """Number of shells enumerated so far (indices 0, 1, ...)."""
         return self._next_shell
 
     @property
@@ -140,24 +125,11 @@ class EdgeGenerator:
             return -math.inf
         return float(np.min(self._alpha_h + self._beta_h + (sigma - 1) * self._heights))
 
-    def release_bound_simple(self) -> float:
-        """Minimum edge length in the most recently enumerated shell batch."""
-        return self._last_batch_min
-
-    def release_bound_fast(self) -> float:
-        """Boundary-distance bound min_i(|a_i| + |b_i| + s*|v_i|) with s the
-        last enumerated shell index.
-
-        Exact for rectangular cells; can exceed true future minima on
-        skewed cells, hence diagnostic only (see module docstring).
-        """
-        s = max(self._next_shell - 1, 0)
-        return float(np.min(self._alpha_len + self._beta_len + s * self._lens))
-
     def __iter__(self):
         return self
 
     def __next__(self) -> CandidateEdge:
+        """Next shortest not-yet-yielded edge class."""
         while True:
             bound = self._release_bound(self._next_shell)
             if self._heap and self._heap[0].length <= bound:
@@ -173,17 +145,12 @@ class EdgeGenerator:
             self._enumerate_shell(self._next_shell)
             self._next_shell += 1
 
-    def next_edge(self) -> CandidateEdge:
-        """Next shortest not-yet-yielded edge class."""
-        return self.__next__()
-
     def _enumerate_shell(self, s: int) -> None:
         m, n = self._m, self._n
         cart = self._cart
         heap = self._heap
         horizon = self.max_length
         iu_i, iu_j = self._iu
-        batch_min = math.inf
         for t in itertools.product(range(-s, s + 1), repeat=n):
             if max(abs(c) for c in t) != s:
                 continue
@@ -191,7 +158,6 @@ class EdgeGenerator:
             if m > 1:
                 disp = (cart[iu_j] + shift) - cart[iu_i]
                 pair_len = row_norms(disp)
-                batch_min = min(batch_min, float(pair_len.min()))
                 if horizon is None:
                     keep = range(pair_len.shape[0])
                 else:
@@ -205,13 +171,6 @@ class EdgeGenerator:
                     )
             if s > 0:
                 self_len = float(row_norms(shift))
-                batch_min = min(batch_min, self_len)
                 if _lex_positive(t) and (horizon is None or self_len <= horizon):
                     for i in range(m):
                         heapq.heappush(heap, CandidateEdge(self_len, i, i, t))
-        self._last_batch_min = batch_min
-
-
-def new_generator(pset: PeriodicSet, **kwargs) -> EdgeGenerator:
-    """Fresh stream positioned before the first yield."""
-    return EdgeGenerator(pset, **kwargs)

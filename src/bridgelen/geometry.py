@@ -28,7 +28,7 @@ from .errors import DegenerateCell, InvalidScale
 DET_FLOOR = 1e-12
 
 #: Default tolerance (fractional, wrap-aware) below which two motif points
-#: are considered coincident.
+#: are considered coincident; see :func:`coincident`.
 MOTIF_DEDUP_TOL = 1e-8
 
 #: Practical cap on the dimension; the algorithms are dimension-generic.
@@ -62,6 +62,20 @@ def wrapped_delta(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Componentwise fractional difference p - q mapped into [-0.5, 0.5)."""
     d = p - q
     return d - np.round(d)
+
+
+def coincident(p: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows of ``points`` that are the same site as ``p``.
+
+    Two fractional points are the same site when their wrap-aware
+    difference has Euclidean norm below ``tol``.  The unit is fractional,
+    not length: CIF files print sites to a fixed number of fractional
+    decimals, so the rounding that separates a site on a special position
+    from its own symmetry image is a fraction of the cell.  A fractional
+    test also gives the same answer for a set and any scaled copy of it,
+    so a change of length unit never merges or splits sites.
+    """
+    return row_norms(wrapped_delta(p, points)) < tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +121,10 @@ class Motif:
     """Finite point set inside one unit cell, in fractional coordinates.
 
     Coordinates are reduced mod 1 on construction.  Two points closer than
-    ``dedup_tol`` (wrap-aware, Euclidean in fractional space) are rejected.
+    ``dedup_tol`` are rejected, and the first such pair ``(i, j)`` in
+    row-major order is reported.  The tolerance is a wrap-aware distance in
+    fractional coordinates, so whether a motif is accepted does not depend
+    on the size of the cell it is placed in (see :func:`coincident`).
     """
 
     points: np.ndarray
@@ -122,13 +139,13 @@ class Motif:
         if not np.all(np.isfinite(arr)):
             raise ValueError("motif coordinates must be finite")
         arr = wrap_fractional(arr)
-        m = arr.shape[0]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.linalg.norm(wrapped_delta(arr[i], arr[j])) < self.dedup_tol:
-                    raise ValueError(
-                        f"motif points {i} and {j} coincide within {self.dedup_tol}"
-                    )
+        for i in range(arr.shape[0] - 1):
+            hits = np.flatnonzero(coincident(arr[i], arr[i + 1 :], self.dedup_tol))
+            if hits.size:
+                j = i + 1 + int(hits[0])
+                raise ValueError(
+                    f"motif points {i} and {j} coincide within {self.dedup_tol}"
+                )
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 

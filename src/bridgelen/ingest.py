@@ -35,9 +35,10 @@ from .errors import (
     ParseError,
     SymOpError,
 )
-from .geometry import LatticeBasis, Motif, PeriodicSet, wrap_fractional, wrapped_delta
+from .geometry import LatticeBasis, Motif, PeriodicSet, coincident, wrap_fractional
 
-#: Default wrap-aware fractional tolerance for merging symmetry images.
+#: Default tolerance (fractional, wrap-aware) for merging symmetry images;
+#: see :func:`bridgelen.geometry.coincident`.
 SYMMETRY_DEDUP_TOL = 1e-3
 
 _CELL_TAGS = (
@@ -299,23 +300,26 @@ def to_periodic_set(
 ) -> PeriodicSet:
     """Build a periodic set, optionally applying the symmetry operations.
 
-    Symmetry images landing within ``dedup_tol`` (fractional, wrap-aware)
-    of an already-kept point are merged; order of sites and operations is
-    preserved, so the result is deterministic.
+    Symmetry images landing within ``dedup_tol`` of an already-kept point
+    are merged.  The tolerance is fractional and wrap-aware, which suits the
+    fractional decimals CIF sites are printed with (see
+    :func:`bridgelen.geometry.coincident`).  The merge is greedy against
+    the kept points, in the order of sites and operations, so the result is
+    deterministic.
     """
     basis = basis_from_cell_parameters(doc.cell_lengths, doc.cell_angles)
     fracs = [np.asarray(frac, dtype=float) for _, frac in doc.sites]
     if expand_symmetry and doc.symmetry_ops:
         ops = [parse_symmetry_op(s) for s in doc.symmetry_ops]
-        kept: list[np.ndarray] = []
+        kept = np.empty((len(fracs) * len(ops), 3))
+        count = 0
         for frac in fracs:
             for mat, trans in ops:
                 img = wrap_fractional(mat @ frac + trans)
-                if not any(
-                    np.linalg.norm(wrapped_delta(img, p)) < dedup_tol for p in kept
-                ):
-                    kept.append(img)
-        points = np.array(kept)
+                if not coincident(img, kept[:count], dedup_tol).any():
+                    kept[count] = img
+                    count += 1
+        points = kept[:count]
     else:
         points = np.array(fracs)
     return PeriodicSet(basis, Motif(points))
@@ -336,13 +340,24 @@ def write_json_set(pset: PeriodicSet) -> str:
     return json.dumps(obj)
 
 
+def _finite_number(x) -> bool:
+    """True for a JSON number that is not a boolean, NaN or an infinity and
+    fits a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def parse_json_set(text) -> PeriodicSet:
     """Parse the JSON set format; schema violations raise ParseError."""
     if isinstance(text, (bytes, bytearray)):
         text = bytes(text).decode("utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers longer than Python converts
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -350,7 +365,7 @@ def parse_json_set(text) -> PeriodicSet:
     if missing:
         raise ParseError(f"missing keys: {sorted(missing)}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
 
     def _matrix(key, expect_rows=None):
@@ -360,12 +375,11 @@ def parse_json_set(text) -> PeriodicSet:
         if expect_rows is not None and len(rows) != expect_rows:
             raise ParseError(f"{key} must have {expect_rows} rows, got {len(rows)}")
         for row in rows:
-            if (
-                not isinstance(row, list)
-                or len(row) != dim
-                or not all(isinstance(x, (int, float)) for x in row)
-            ):
+            if not isinstance(row, list) or len(row) != dim:
                 raise ParseError(f"every {key} row must be {dim} numbers")
+            for x in row:
+                if not _finite_number(x):
+                    raise ParseError(f"{key} entries must be finite numbers, got {x!r}")
         return np.array(rows, dtype=float)
 
     basis = _matrix("basis", expect_rows=dim)

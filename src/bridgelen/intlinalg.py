@@ -184,10 +184,6 @@ def snf(a: Sequence[Sequence[int]]) -> SnfResult:
     return SnfResult(l=lm, d=d, r=rm, factors=factors)
 
 
-def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return snf(a).factors
-
-
 def spans_lattice(a: Sequence[Sequence[int]]) -> bool:
     """Do the columns of ``a`` (n rows) generate all of Z^n?
 
@@ -273,9 +269,6 @@ class OnlineSnfState:
         self.rank = len(self.factors)
         self.r = _matmul(self.r, res.r)
         return True
-
-    # Spec name for the same operation.
-    online_add = add
 
     def is_complete(self) -> bool:
         """True iff the absorbed vectors generate all of Z^n."""

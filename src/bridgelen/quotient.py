@@ -14,6 +14,12 @@ The cycle sum reported for a rejected-by-forest edge is the sum around the
 cycle traversed through the forest from source to dest and back through
 the new edge reversed: path_sum(source, dest) - v.
 
+The lifted periodic graph is connected exactly when the quotient graph is
+connected and its cycle sums generate Z^n; this is the quotient-graph
+connectivity test of E. Cohen and N. Megiddo, "Recognizing properties of
+periodic graphs", in *Applied Geometry and Discrete Mathematics*, DIMACS
+Series 4, AMS, 1991, pp. 135-146.
+
 A state has a single mutation owner (finds compress paths); distinct
 states are independent.
 """

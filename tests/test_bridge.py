@@ -16,7 +16,6 @@ from bridgelen import (
     in_span,
     mst_longest_edge,
     oracle_bridge_length,
-    r_upper_bound,
     spans_lattice,
 )
 
@@ -140,11 +139,12 @@ class TestBoundsAndInvariances:
             pset = random_set(rng)
             report = bridge_length(pset)
             assert report.beta <= report.r_upper
-            assert report.r_upper == r_upper_bound(pset)
+            assert report.r_upper == cell_metrics(pset.basis).r_upper
 
     def test_r_upper_examples(self, z3):
-        assert r_upper_bound(z3) == 1.0
-        assert r_upper_bound(make_set([[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0]])) == 2.0
+        assert cell_metrics(z3.basis).r_upper == 1.0
+        rect = make_set([[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0]])
+        assert cell_metrics(rect.basis).r_upper == 2.0
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(54)

@@ -11,10 +11,9 @@ from bridgelen import (
     PeriodicSet,
     ShellCapExceeded,
     cell_metrics,
-    new_generator,
 )
 
-from conftest import make_set, random_set
+from conftest import random_set
 
 
 def lex_positive(t):
@@ -57,7 +56,7 @@ def brute_force_prefix(pset: PeriodicSet, k: int):
 
 
 def take(gen, k):
-    return [gen.next_edge() for _ in range(k)]
+    return [next(gen) for _ in range(k)]
 
 
 class TestKnownStreams:
@@ -84,7 +83,7 @@ class TestKnownStreams:
         assert all(e.source == e.dest for e in rest)
 
     def test_fig3_first_yield_is_shortest(self, fig3_set):
-        e = new_generator(fig3_set).next_edge()
+        e = next(EdgeGenerator(fig3_set))
         assert (e.source, e.dest, e.translation) == (0, 1, (0, 1))
         assert e.length == pytest.approx(math.sqrt(0.05))
 
@@ -94,7 +93,7 @@ class TestKnownStreams:
         edges = take(gen, 3)
         assert all(e.length == pytest.approx(1.0) for e in edges)
         assert {e.translation for e in edges} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        assert gen.next_edge().length == pytest.approx(math.sqrt(2))
+        assert next(gen).length == pytest.approx(math.sqrt(2))
 
 
 class TestAgainstBruteForce:
@@ -154,54 +153,12 @@ class TestAgainstBruteForce:
                 assert e.length > 0
 
 
-class TestReleaseBounds:
-    def test_simple_bound_z2_shells(self, z2):
-        gen = EdgeGenerator(z2)
-        gen.next_edge()  # forces shells 0 and 1
-        assert gen.shell_index == 1
-        assert gen.release_bound_simple() == pytest.approx(1.0)
-        while gen.shell_index < 2:
-            gen.next_edge()
-        assert gen.release_bound_simple() == pytest.approx(2.0)
-
-    def test_simple_bound_anisotropic(self):
-        pset = make_set([[1.0, 0.0], [0.0, 10.0]], [[0.0, 0.0]])
-        gen = EdgeGenerator(pset)
-        gen.next_edge()
-        assert gen.shell_index == 1
-        assert gen.release_bound_simple() == pytest.approx(1.0)
-
-    def test_fast_bound_centred_cube_motif(self):
-        pset = make_set(np.eye(3), [[0.5, 0.5, 0.5]])
-        gen = EdgeGenerator(pset)
-        gen.next_edge()
-        s = gen.shell_index
-        assert gen.release_bound_fast() == pytest.approx(1.0 + s)
-
-    def test_fast_bound_origin_motif(self):
-        pset = make_set([[2.0, 0.0], [0.0, 3.0]], [[0.0, 0.0]])
-        gen = EdgeGenerator(pset)
-        gen.next_edge()
-        s = gen.shell_index
-        assert gen.release_bound_fast() == pytest.approx(2.0 * (1 + s))
-
-    def test_fast_bound_not_assumed_above_guard(self):
-        # on skewed cells the boundary-distance bound may dip toward the
-        # height guard; neither dominates the other in general
-        pset = make_set([[1.0, 0.0], [0.6, 0.05]], [[0.4, 0.7]])
-        gen = EdgeGenerator(pset)
-        for _ in range(12):
-            gen.next_edge()
-        assert gen.release_bound_fast() > 0
-        assert gen.release_bound_simple() > 0
-
-
 class TestCapsAndHorizons:
     def test_shell_cap_raises_on_misuse(self, z2):
         gen = EdgeGenerator(z2)
         with pytest.raises(ShellCapExceeded):
             for _ in range(10_000):
-                gen.next_edge()
+                next(gen)
 
     def test_extended_cap_allows_more_shells(self, z2):
         gen = EdgeGenerator(z2, shell_cap=30)
@@ -219,6 +176,8 @@ class TestCapsAndHorizons:
         assert len(list(gen)) == 2
 
     def test_no_distances_before_first_yield(self, z2):
-        gen = new_generator(z2)
+        gen = EdgeGenerator(z2)
         assert gen.shells_enumerated == 0
         assert gen.pending == ()
+        next(gen)  # the first edge enumerates shells 0 and 1
+        assert gen.shells_enumerated == 2

@@ -17,6 +17,7 @@ from bridgelen import (
     cell_metrics,
     facet_heights,
 )
+from bridgelen.geometry import wrap_fractional, wrapped_delta
 
 from conftest import make_set, random_basis
 
@@ -168,6 +169,37 @@ class TestMotif:
     def test_rejects_wrap_duplicates(self):
         with pytest.raises(ValueError, match="coincide"):
             Motif([[0.0, 0.0], [1e-10, 1.0 - 1e-10]])
+
+    def test_reports_first_coincident_pair_in_row_order(self):
+        # (1, 3) coincide across the wrap and (2, 3) inside the cell, while
+        # (1, 2) are 0.12 apart: the first pair in row-major order is (1, 3)
+        message = r"motif points 1 and 3 coincide within 0\.1$"
+        with pytest.raises(ValueError, match=message):
+            Motif([[0.5], [0.96], [0.08], [0.02]], dedup_tol=0.1)
+
+    def test_matches_pairwise_reference(self):
+        # reference: the per-pair loop, one norm per pair in row-major order
+        rng = np.random.default_rng(31)
+        tol = 0.05
+        for _ in range(300):
+            m = int(rng.integers(2, 25))
+            pts = rng.integers(0, 6, (m, 2)) / 6 + rng.normal(0, 0.03, (m, 2))
+            arr = wrap_fractional(pts)
+            first = next(
+                (
+                    (i, j)
+                    for i in range(m)
+                    for j in range(i + 1, m)
+                    if np.linalg.norm(wrapped_delta(arr[i], arr[j])) < tol
+                ),
+                None,
+            )
+            if first is None:
+                assert np.array_equal(Motif(pts, dedup_tol=tol).points, arr)
+            else:
+                message = f"motif points {first[0]} and {first[1]} "
+                with pytest.raises(ValueError, match=message):
+                    Motif(pts, dedup_tol=tol)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

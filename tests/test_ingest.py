@@ -18,7 +18,7 @@ from bridgelen import (
     to_periodic_set,
     write_json_set,
 )
-from bridgelen.geometry import wrapped_delta
+from bridgelen.geometry import wrap_fractional, wrapped_delta
 from bridgelen.ingest import parse_symmetry_op
 
 from conftest import make_set, random_set
@@ -216,6 +216,34 @@ class TestToPeriodicSet:
         doc = parse_cif(cif_text(ops=("x, y, z", "-x, -y, -z")))
         assert to_periodic_set(doc).motif_size == 1
 
+    def test_merge_is_greedy_against_kept_points(self):
+        # b lies within tol of a and is merged; c lies within tol of b but
+        # not of a, and b was never kept, so c survives
+        tol = 0.01
+        sites = ((0.1, 0.2, 0.3), (0.106, 0.2, 0.3), (0.112, 0.2, 0.3))
+        doc = parse_cif(cif_text(sites=sites, ops=("x, y, z",)))
+        pset = to_periodic_set(doc, dedup_tol=tol)
+        assert np.array_equal(pset.motif.points, np.array(sites)[[0, 2]])
+
+    def test_merge_matches_pairwise_reference(self):
+        # reference: each image tested against the kept points one by one
+        ops = ("x, y, z", "-x, -y, -z", "x+1/2, y+1/2, z+1/2", "-x+1/2, -y+1/2, -z+1/2")
+        parsed = [parse_symmetry_op(op) for op in ops]
+        rng = np.random.default_rng(73)
+        tol = 0.05
+        for _ in range(100):
+            grid = rng.integers(0, 8, (6, 3)) / 8 + rng.normal(0, 0.02, (6, 3))
+            sites = [tuple(p) for p in grid]
+            doc = parse_cif(cif_text(sites=sites, ops=ops))
+            kept = []
+            for _, frac in doc.sites:
+                for mat, trans in parsed:
+                    img = wrap_fractional(mat @ np.asarray(frac) + trans)
+                    if not any(np.linalg.norm(wrapped_delta(img, p)) < tol for p in kept):
+                        kept.append(img)
+            pset = to_periodic_set(doc, dedup_tol=tol)
+            assert np.array_equal(pset.motif.points, np.array(kept))
+
     def test_expansion_idempotent(self):
         # ops must form a group mod 1 (as real CIF op lists do): inversion
         # plus body centring, order 4
@@ -309,6 +337,34 @@ class TestJsonRoundTrip:
             parse_json_set("not json")
         with pytest.raises(ParseError):
             parse_json_set('{"dim": 0, "basis": [], "motif_fractional": []}')
+
+    def test_boolean_entries_rejected(self):
+        with pytest.raises(ParseError, match="basis"):
+            parse_json_set('{"dim": 1, "basis": [[true]], "motif_fractional": [[false]]}')
+        with pytest.raises(ParseError, match="motif_fractional"):
+            parse_json_set('{"dim": 1, "basis": [[1]], "motif_fractional": [[false]]}')
+
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(ParseError, match="dim"):
+            parse_json_set('{"dim": true, "basis": [[1]], "motif_fractional": [[0]]}')
+
+    def test_nan_rejected(self):
+        with pytest.raises(ParseError, match="basis"):
+            parse_json_set('{"dim": 1, "basis": [[NaN]], "motif_fractional": [[0]]}')
+        with pytest.raises(ParseError, match="motif_fractional"):
+            parse_json_set('{"dim": 1, "basis": [[1]], "motif_fractional": [[NaN]]}')
+
+    def test_infinity_rejected(self):
+        with pytest.raises(ParseError, match="basis"):
+            parse_json_set('{"dim": 1, "basis": [[-Infinity]], "motif_fractional": [[0]]}')
+        with pytest.raises(ParseError, match="motif_fractional"):
+            parse_json_set('{"dim": 1, "basis": [[1]], "motif_fractional": [[Infinity]]}')
+
+    def test_integer_beyond_float_range_rejected(self):
+        for digits in (400, 5000):
+            big = "1" + "0" * digits
+            with pytest.raises(ParseError):
+                parse_json_set(f'{{"dim": 1, "basis": [[{big}]], "motif_fractional": [[0]]}}')
 
     def test_singular_basis_rejected(self):
         with pytest.raises(DegenerateCell):

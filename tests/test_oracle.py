@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bridgelen import oracle_bridge_length, patch_points, r_upper_bound
+from bridgelen import cell_metrics, oracle_bridge_length, patch_points
 from bridgelen.oracle import min_patch_extent
 
 from conftest import make_set, random_set
@@ -47,7 +47,8 @@ class TestProperties:
         rng = np.random.default_rng(61)
         for _ in range(40):
             pset = random_set(rng, n=int(rng.integers(1, 3)))
-            assert oracle_bridge_length(pset) <= r_upper_bound(pset) * (1 + 1e-9)
+            r_upper = cell_metrics(pset.basis).r_upper
+            assert oracle_bridge_length(pset) <= r_upper * (1 + 1e-9)
 
     def test_invariant_under_patch_growth(self):
         # a bigger patch may only confirm the same threshold
