@@ -26,6 +26,7 @@ states are independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -42,8 +43,20 @@ class EdgeOutcome:
     cycle_sum: Optional[tuple[int, ...]] = None
 
 
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, a, b))
+
+
+def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.sub, a, b))
+
+
 class QuotientState:
-    """Union-find over m motif vertices with per-vertex Z^n offsets."""
+    """Union-find over m motif vertices with per-vertex Z^n offsets.
+
+    Offsets are plain int tuples: for n <= 8 a tuple sum costs a fraction
+    of a numpy call, and the finds run once per examined edge.
+    """
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -52,7 +65,8 @@ class QuotientState:
         self.n = n
         self._parent = list(range(m))
         self._size = [1] * m
-        self._offset = [np.zeros(n, dtype=np.int64) for _ in range(m)]
+        self._zero = (0,) * n
+        self._offset = [self._zero] * m
         self._components = m
         self.forest_edges: list[CandidateEdge] = []
         self.cycle_edges: list[tuple[CandidateEdge, tuple[int, ...]]] = []
@@ -65,21 +79,22 @@ class QuotientState:
     def connected(self) -> bool:
         return self._components == 1
 
-    def _find(self, v: int) -> tuple[int, np.ndarray]:
+    def _find(self, v: int) -> tuple[int, tuple[int, ...]]:
         """Representative of v and the path sum from v to it; compresses."""
+        parent, offset = self._parent, self._offset
         path = []
-        while self._parent[v] != v:
+        while parent[v] != v:
             path.append(v)
-            v = self._parent[v]
-        total = np.zeros(self.n, dtype=np.int64)
+            v = parent[v]
+        total = self._zero
         for u in reversed(path):
-            total = total + self._offset[u]
+            total = _add(total, offset[u])
         # second pass: repoint everything at the root with its full offset
-        acc = total.copy()
+        acc = total
         for u in path:
-            nxt = acc - self._offset[u]
-            self._parent[u] = v
-            self._offset[u] = acc
+            nxt = _sub(acc, offset[u])
+            parent[u] = v
+            offset[u] = acc
             acc = nxt
         return v, total
 
@@ -92,26 +107,26 @@ class QuotientState:
         """
         if not (0 <= e.source < self.m and 0 <= e.dest < self.m):
             raise IndexError("edge endpoint out of range")
-        v = np.asarray(e.translation, dtype=np.int64)
+        v = tuple(map(int, e.translation))
         rs, ps = self._find(e.source)
         rd, pd = self._find(e.dest)
         if rs != rd:
             if self._size[rs] >= self._size[rd]:
                 # attach rd under rs; want path_sum(source, dest) == v
-                self._offset[rd] = ps - v - pd
+                self._offset[rd] = _sub(_sub(ps, v), pd)
                 self._parent[rd] = rs
                 self._size[rs] += self._size[rd]
             else:
-                self._offset[rs] = v + pd - ps
+                self._offset[rs] = _sub(_add(v, pd), ps)
                 self._parent[rs] = rd
                 self._size[rd] += self._size[rs]
             self._components -= 1
             self._record(self.forest_edges, e)
             return EdgeOutcome(kind="forest")
-        c = ps - pd - v
-        if not c.any():
+        c = _sub(_sub(ps, pd), v)
+        if not any(c):
             return EdgeOutcome(kind="zero_cycle")
-        return EdgeOutcome(kind="cycle", cycle_sum=tuple(int(x) for x in c))
+        return EdgeOutcome(kind="cycle", cycle_sum=c)
 
     def add_cycle_edge(self, e: CandidateEdge, cycle_sum: tuple[int, ...]) -> None:
         """Record an accepted cycle-contributing edge."""
@@ -125,7 +140,7 @@ class QuotientState:
         rw, pw = self._find(w)
         if ru != rw:
             return None
-        return pu - pw
+        return np.array(_sub(pu, pw), dtype=np.int64)
 
     def _record(self, lst, item, cap=100_000):
         if len(lst) < cap:

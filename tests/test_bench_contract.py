@@ -2,18 +2,37 @@
 looks up by name.  Constructing it resolves every one of them, so renaming
 a traced name fails here instead of breaking the traced benchmark run."""
 
+import math
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import bridgelen
 import bridgelen.cli  # noqa: F401  (the tracer scans every loaded module)
 
+from conftest import make_set
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_tracer_resolves_and_counts_every_traced_name(monkeypatch, fixtures_dir):
+def slab_19():
+    """A fixed 19-point slab of aspect 6.6 that takes three shells."""
+    i = np.arange(19)
+    golden = (math.sqrt(5) - 1) / 2
+    frac = np.column_stack([(i + 0.5) / 19, (i * golden) % 1.0, (i * 0.29) % 1.0])
+    return make_set([[7.0, 0.0, 0.0], [0.4, 7.3, 0.0], [0.3, -0.2, 1.1]], frac)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
+    return tracing
+
+
+def test_tracer_resolves_and_counts_every_traced_name(tracing, fixtures_dir):
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -35,3 +54,26 @@ def test_tracer_resolves_and_counts_every_traced_name(monkeypatch, fixtures_dir)
     ):
         assert metrics[name][0] > 0, name
     assert metrics["bridge.total_s"][0] > 0
+
+
+@pytest.mark.parametrize(
+    "name, shells, yielded, generated",
+    [("fig3", 2, 3, 7), ("bcc", 2, 5, 14), ("slab", 3, 41, 2823)],
+)
+def test_edge_counters_are_pinned(
+    tracing, fig3_set, bcc, name, shells, yielded, generated
+):
+    # ``edges.generated`` is yielded + len(pending) after the run: the
+    # buffer must keep every candidate below the horizon, in every shell
+    pset = {"fig3": fig3_set, "bcc": bcc, "slab": slab_19()}[name]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        bridgelen.bridge_length(pset)
+    finally:
+        tracer.uninstall()
+    tracer.collect()
+    metrics = tracer.metrics()
+    assert metrics["edges.shells"][0] == shells
+    assert metrics["edges.yielded"][0] == yielded
+    assert metrics["edges.generated"][0] == generated

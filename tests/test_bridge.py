@@ -156,6 +156,21 @@ class TestBoundsAndInvariances:
                     c * beta, rel=1e-12
                 )
 
+    def test_half_scale_a7(self):
+        # Halving a basis is exact, so beta halves exactly.  The stream
+        # still needs a third shell at half scale: the height-projected
+        # release bound after two shells rounds to 2 ulps above sqrt(2)
+        # for A7, but to 4 ulps below sqrt(2)/2 for the halved cell, so
+        # the shortest edges wait for shell 2.
+        n = 7
+        cartan = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        a7 = make_set(np.linalg.cholesky(cartan), np.zeros((1, n)))
+        full = bridge_length(a7)
+        half = bridge_length(a7.scale(0.5))
+        assert half.beta == 0.5 * full.beta
+        assert full.shells_enumerated == 2
+        assert half.shells_enumerated == 3
+
     def test_isometry_invariance(self):
         rng = np.random.default_rng(55)
         for _ in range(40):

@@ -8,10 +8,13 @@ import pytest
 
 from bridgelen import (
     EdgeGenerator,
+    LatticeBasis,
+    Motif,
     PeriodicSet,
     ShellCapExceeded,
     cell_metrics,
 )
+from bridgelen import edges as edges_module
 
 from conftest import random_set
 
@@ -59,6 +62,42 @@ def take(gen, k):
     return [next(gen) for _ in range(k)]
 
 
+def assert_prefix_matches(got, expected):
+    """``got`` (k yielded edges) against ``expected`` (k + 1 brute-force
+    classes): equal lengths, and equal class sets up to the last strict
+    length boundary (a tie straddling the cut may legitimately resolve
+    either way)."""
+    k = len(got)
+    assert [e.length for e in got] == pytest.approx(
+        [c[0] for c in expected[:k]], rel=1e-12, abs=1e-12
+    )
+    j = k
+    while j > 0 and expected[j][0] - expected[j - 1][0] < 1e-9:
+        j -= 1
+    assert sorted((e.source, e.dest, e.translation) for e in got[:j]) == sorted(
+        (s, d, t) for _, s, d, t in expected[:j]
+    )
+
+
+def lattice_set(name, n):
+    """Z^n, n-D body-centred, D_n and A_n, built as their usual bases."""
+    motif = np.zeros((1, n))
+    if name == "Z":
+        basis = np.eye(n)
+    elif name == "BCC":
+        basis = np.eye(n)
+        motif = np.array([np.zeros(n), np.full(n, 0.5)])
+    elif name == "D":
+        basis = np.zeros((n, n))
+        basis[0, :2] = -1.0
+        for i in range(1, n):
+            basis[i, i - 1], basis[i, i] = 1.0, -1.0
+    elif name == "A":
+        cartan = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        basis = np.linalg.cholesky(cartan)
+    return PeriodicSet(LatticeBasis(basis), Motif(motif))
+
+
 class TestKnownStreams:
     def test_z1_integer_lengths(self, z1):
         lengths = [e.length for e in take(EdgeGenerator(z1, shell_cap=10), 6)]
@@ -103,18 +142,15 @@ class TestAgainstBruteForce:
         for _ in range(100):
             pset = random_set(rng)
             got = take(EdgeGenerator(pset, shell_cap=200), k)
-            expected = brute_force_prefix(pset, k + 1)
-            assert [e.length for e in got] == pytest.approx(
-                [c[0] for c in expected[:k]], rel=1e-12, abs=1e-12
-            )
-            # class sets must agree up to the last strict length boundary
-            # (a tie straddling the cut may legitimately resolve either way)
-            j = k
-            while j > 0 and expected[j][0] - expected[j - 1][0] < 1e-9:
-                j -= 1
-            assert sorted(
-                (e.source, e.dest, e.translation) for e in got[:j]
-            ) == sorted((s, d, t) for _, s, d, t in expected[:j])
+            assert_prefix_matches(got, brute_force_prefix(pset, k + 1))
+
+    @pytest.mark.parametrize("name", ["Z", "BCC", "D", "A"])
+    def test_four_dimensional_lattices(self, name):
+        # many exact ties, and shells whose faces span four leading axes
+        pset = lattice_set(name, 4)
+        k = 60
+        got = take(EdgeGenerator(pset, shell_cap=200), k)
+        assert_prefix_matches(got, brute_force_prefix(pset, k + 1))
 
     def test_monotone_lengths_fuzz(self):
         rng = np.random.default_rng(42)
@@ -151,6 +187,49 @@ class TestAgainstBruteForce:
                 recomputed = np.linalg.norm(cart[e.dest] + shift - cart[e.source])
                 assert e.length == pytest.approx(recomputed, rel=1e-12)
                 assert e.length > 0
+
+
+def face_cases():
+    cases = [(n, s) for n in range(1, 9) for s in range(3)]
+    return cases + [(n, 3) for n in range(1, 6)]
+
+
+class TestShellFaces:
+    @pytest.mark.parametrize("n, s", face_cases())
+    def test_each_vector_of_norm_s_once(self, n, s):
+        faces = np.concatenate(
+            list(edges_module._shell_faces(n, s, edges_module._BLOCK))
+        )
+        assert faces.dtype == np.int32 and faces.shape[1] == n
+        assert len(faces) == (2 * s + 1) ** n - max(2 * s - 1, 0) ** n
+        assert (np.abs(faces).max(axis=1) == s).all()
+        assert len(np.unique(faces, axis=0)) == len(faces)
+        mask = edges_module._lex_positive_rows(faces)
+        assert mask.tolist() == [lex_positive(t) for t in faces.tolist()]
+
+    @pytest.mark.parametrize("n, s", [(1, 2), (3, 1), (4, 2), (6, 1)])
+    def test_blocks_split_the_same_sequence(self, n, s):
+        whole = np.concatenate(list(edges_module._shell_faces(n, s, 10**6)))
+        blocks = list(edges_module._shell_faces(n, s, 7))
+        assert all(1 <= len(b) <= 7 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("block", [1, 4, 42])
+    def test_stream_does_not_depend_on_block_size(self, monkeypatch, block):
+        # with m = 7 (21 pairs) these constants give 1, 1 and 2
+        # translations per block, and with m = 1 as many faces, so every
+        # shell spans many blocks
+        rng = np.random.default_rng(46)
+        psets = [random_set(rng, n=3, m=7), random_set(rng, n=2, m=1)]
+        psets.append(lattice_set("A", 4))
+        expected = []
+        for pset in psets:
+            gen = EdgeGenerator(pset, shell_cap=200)
+            expected.append((take(gen, 150), gen.pending))
+        monkeypatch.setattr(edges_module, "_BLOCK", block)
+        for pset, want in zip(psets, expected):
+            gen = EdgeGenerator(pset, shell_cap=200)
+            assert (take(gen, 150), gen.pending) == want
 
 
 class TestCapsAndHorizons:
