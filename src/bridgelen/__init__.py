@@ -5,7 +5,7 @@ two of its points are joined by a finite chain of hops no longer than it.
 For periodic sets it is computed exactly from one unit cell by streaming
 inter-point edge classes in increasing length order into a labelled
 quotient graph and certifying connectivity of the lifted periodic graph
-with Smith Normal Form invariant factors.
+with a Hermite basis of its cycle sums whose pivots are all 1.
 """
 
 from .bridge import BridgeReport, bridge_length, mst_longest_edge

@@ -6,8 +6,8 @@ computed exactly by consuming edge classes in increasing length order and
 maintaining two certificates over the labelled quotient graph:
 
 1. the forest over motif classes becomes connected, and
-2. the integer matrix of accepted cycle sums acquires n invariant factors
-   equal to 1 (its columns generate all of Z^n).
+2. the accepted cycle sums generate all of Z^n: their row-echelon
+   (Hermite) basis has n pivots equal to 1.
 
 The first edge whose acceptance makes both hold has the bridge length as
 its length.  Everything is deterministic: identical inputs give identical
@@ -23,7 +23,7 @@ import numpy as np
 
 from .edges import CandidateEdge, EdgeGenerator
 from .errors import EmptyInput
-from .geometry import PeriodicSet, cell_metrics
+from .geometry import PeriodicSet
 from .intlinalg import OnlineSnfState
 from .quotient import QuotientState
 
@@ -51,7 +51,6 @@ class BridgeReport:
     edges_examined: int
     translational_basis_size: int
     elapsed: float
-    trace_truncated: bool = False
 
 
 def bridge_length(pset: PeriodicSet) -> BridgeReport:
@@ -65,9 +64,9 @@ def bridge_length(pset: PeriodicSet) -> BridgeReport:
     complete.
     """
     t0 = time.perf_counter()
-    metrics = cell_metrics(pset.basis)
-    horizon = metrics.r_upper * (1.0 + _HORIZON_SLACK)
-    gen = EdgeGenerator(pset, max_length=horizon)
+    gen = EdgeGenerator(pset)
+    r_upper = gen.metrics.r_upper
+    gen.max_length = r_upper * (1.0 + _HORIZON_SLACK)
     state = QuotientState(pset.motif_size, pset.dim)
     snf_state = OnlineSnfState(pset.dim)
     examined = 0
@@ -88,12 +87,11 @@ def bridge_length(pset: PeriodicSet) -> BridgeReport:
                 last_edge=edge,
                 forest_edges=tuple(state.forest_edges),
                 basis_cycle_edges=tuple(state.cycle_edges),
-                r_upper=metrics.r_upper,
+                r_upper=r_upper,
                 shells_enumerated=gen.shells_enumerated,
                 edges_examined=examined,
                 translational_basis_size=len(state.cycle_edges),
                 elapsed=time.perf_counter() - t0,
-                trace_truncated=state.trace_truncated,
             )
     raise RuntimeError(
         "edge stream exhausted below the r_upper horizon before both "

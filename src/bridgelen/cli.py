@@ -3,8 +3,8 @@
 ``compute FILE`` prints one CSV row (or a full JSON report with --json);
 ``batch DIR`` prints one CSV row per .cif/.json file in the directory,
 processing files concurrently but assembling output in a deterministic
-order.  Exit codes: 0 ok, 1 parse/read error, 2 degenerate cell,
-3 verification mismatch, 4 oracle inconclusive.
+order.  Exit codes: 0 ok, 1 parse/read error, 2 degenerate cell or usage
+error (a bad option value), 3 verification mismatch, 4 oracle inconclusive.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def _report_dict(ident: str, atoms: int, report: BridgeReport) -> dict:
             {"edge": _edge_dict(e), "cycle_sum": list(c)}
             for e, c in report.basis_cycle_edges
         ],
-        "trace_truncated": report.trace_truncated,
+        # constant: the trace is never cut (m - 1 forest edges, one per span change)
+        "trace_truncated": False,
     }
 
 
@@ -142,7 +143,7 @@ _tol_option = click.option(
 )
 _precision_option = click.option(
     "--precision",
-    type=int,
+    type=click.IntRange(min=0),
     default=6,
     show_default=True,
     help="Decimal places for lengths in CSV output.",
@@ -212,7 +213,7 @@ def compute(path, as_json, verify, fmt, no_symmetry, tol, precision):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON table.")
 @click.option(
     "--jobs",
-    type=int,
+    type=click.IntRange(min=1),
     default=1,
     show_default=True,
     help="Process up to this many files concurrently.",

@@ -172,11 +172,6 @@ class EdgeGenerator:
             )
         )
 
-    @property
-    def release_bound(self) -> float:
-        """Length up to which buffered edges are provably globally minimal."""
-        return self._bound
-
     def _release_bound(self, sigma: int) -> float:
         if sigma <= 0:
             return -math.inf

@@ -4,17 +4,16 @@ Everything here works on plain Python integers (arbitrary precision), so
 unimodular products never overflow and the divisibility certificates are
 exact.  Matrices are lists of row lists.
 
-The central fact used by the bridge computation: the columns of an integer
-matrix generate all of Z^n exactly when the matrix has n invariant factors
-equal to 1.  :class:`OnlineSnfState` maintains that certificate
-incrementally as cycle-sum vectors arrive, rejecting vectors that lie in
-the span of what it already absorbed.
+The central fact used by the bridge computation: integer vectors generate
+all of Z^n exactly when a Hermite basis of their span has n unit pivots.
+:class:`OnlineSnfState` keeps that basis as cycle-sum vectors arrive;
+:func:`snf`, :func:`in_span` and :func:`spans_lattice` are its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 IntMatrix = list[list[int]]
 
@@ -225,51 +224,64 @@ def in_span(a: Sequence[Sequence[int]], c: Sequence[int]) -> bool:
 
 
 class OnlineSnfState:
-    """Incrementally maintained invariant factors of a growing set of
-    integer vectors in Z^n.
+    """Incrementally kept Hermite basis of the integer span of a growing set
+    of vectors in Z^n (H. Cohen, *A Course in Computational Algebraic Number
+    Theory*, GTM 138, Springer 1993, section 2.4).
 
-    Only the right unimodular matrix R and the invariant factors are kept.
-    Adding a vector that already lies in the integer span of the absorbed
-    generators (componentwise divisibility after multiplying by R) changes
-    nothing and reports ``False``; otherwise the factors are recomputed from
-    the reduced (rank+1) x n stack, R is composed with the new column
-    transform, and ``True`` is reported.
-
-    Externally vectors are Z^n columns of the translational matrix; they are
-    handled as rows internally, which transposes away the convention
-    difference.  Factors never increase: they only shrink (gcd) or extend.
+    Row i, when present, is zero before column i and has a positive pivot
+    there; entries above a pivot lie in [0, pivot), so they do not grow.
+    The pivots are span invariants, so a vector changes the span exactly
+    when it fills an empty pivot slot or shrinks (at least halves) a pivot,
+    and the span is all of Z^n exactly when all n pivots are 1.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n
-        self.factors: list[int] = []
-        self.r: IntMatrix = _identity(n)
-        self.rank = 0
+        self._rows: list[Optional[list[int]]] = [None] * n
 
     def add(self, v: Sequence[int]) -> bool:
-        """Absorb one vector; True iff the state (hence the span) changed."""
-        vv = [int(x) for x in v]
-        if len(vv) != self.n:
-            raise ValueError(f"vector has {len(vv)} entries, expected {self.n}")
-        n = self.n
-        x = [sum(vv[k] * self.r[k][j] for k in range(n)) for j in range(n)]
-        if all(
-            x[i] % self.factors[i] == 0 for i in range(self.rank)
-        ) and all(x[j] == 0 for j in range(self.rank, n)):
-            return False
-        stack = [
-            [self.factors[i] if j == i else 0 for j in range(n)]
-            for i in range(self.rank)
-        ]
-        stack.append(x)
-        res = snf(stack)
-        self.factors = [f for f in res.factors if f != 0]
-        self.rank = len(self.factors)
-        self.r = _matmul(self.r, res.r)
-        return True
+        """Absorb one vector; True iff the span changed."""
+        b = [int(x) for x in v]
+        if len(b) != self.n:
+            raise ValueError(f"vector has {len(b)} entries, expected {self.n}")
+        rows = self._rows
+        changed = False
+        for i, row in enumerate(rows):
+            if b[i] == 0:
+                continue
+            if row is None:
+                rows[i] = b if b[i] > 0 else [-x for x in b]
+                changed = True
+                break
+            # Euclid by unimodular row steps on (row, b): a[i] stays positive
+            # and ends as the gcd; a is row itself unless the pivot shrank
+            a = row
+            while True:
+                q = b[i] // a[i]
+                b = [x - q * y for x, y in zip(b, a)]
+                if b[i] == 0:
+                    break
+                a, b = b, a
+            changed = changed or a is not row
+            rows[i] = a
+        if changed:
+            # entries above each pivot into [0, pivot), left to right
+            for j, pivot in enumerate(rows):
+                if pivot is None:
+                    continue
+                for r, row in enumerate(rows[:j]):
+                    if row is not None and (q := row[j] // pivot[j]):
+                        rows[r] = [x - q * y for x, y in zip(row, pivot)]
+        return changed
 
     def is_complete(self) -> bool:
         """True iff the absorbed vectors generate all of Z^n."""
-        return self.rank == self.n and all(f == 1 for f in self.factors)
+        return all(r is not None and r[i] == 1 for i, r in enumerate(self._rows))
+
+    @property
+    def factors(self) -> list[int]:
+        """Nonzero invariant factors of the span (computed when read)."""
+        rows = [row for row in self._rows if row is not None]
+        return [f for f in snf(rows).factors if f] if rows else []

@@ -70,7 +70,6 @@ class QuotientState:
         self._components = m
         self.forest_edges: list[CandidateEdge] = []
         self.cycle_edges: list[tuple[CandidateEdge, tuple[int, ...]]] = []
-        self.trace_truncated = False
 
     @property
     def component_count(self) -> int:
@@ -121,7 +120,7 @@ class QuotientState:
                 self._parent[rs] = rd
                 self._size[rd] += self._size[rs]
             self._components -= 1
-            self._record(self.forest_edges, e)
+            self.forest_edges.append(e)
             return EdgeOutcome(kind="forest")
         c = _sub(_sub(ps, pd), v)
         if not any(c):
@@ -130,7 +129,7 @@ class QuotientState:
 
     def add_cycle_edge(self, e: CandidateEdge, cycle_sum: tuple[int, ...]) -> None:
         """Record an accepted cycle-contributing edge."""
-        self._record(self.cycle_edges, (e, cycle_sum))
+        self.cycle_edges.append((e, cycle_sum))
 
     def path_sum(self, u: int, w: int) -> Optional[np.ndarray]:
         """Sum of labels along the forest path u -> w; None if disconnected."""
@@ -141,9 +140,3 @@ class QuotientState:
         if ru != rw:
             return None
         return np.array(_sub(pu, pw), dtype=np.int64)
-
-    def _record(self, lst, item, cap=100_000):
-        if len(lst) < cap:
-            lst.append(item)
-        else:
-            self.trace_truncated = True

@@ -75,7 +75,6 @@ class TestReportShape:
             report.basis_cycle_edges
         )
         assert report.elapsed >= 0.0
-        assert not report.trace_truncated
 
     def test_forest_spans_motif_at_termination(self):
         rng = np.random.default_rng(50)

@@ -87,6 +87,16 @@ def test_precision_flag(runner, fixtures_dir):
     assert "0.8660" not in result.output
 
 
+def test_negative_precision_is_a_usage_error(runner, fixtures_dir):
+    result = runner.invoke(
+        main, ["compute", str(fixtures_dir / "bcc.json"), "--precision", "-1"]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stdout == ""
+    assert "--precision" in result.stderr
+
+
 def test_format_override(runner, fixtures_dir, tmp_path):
     odd = tmp_path / "bcc.data"
     odd.write_text((fixtures_dir / "bcc.json").read_text())
@@ -159,6 +169,14 @@ class TestBatch:
         par = runner.invoke(main, ["batch", str(batch_dir), "--jobs", "4"])
         assert seq.exit_code == par.exit_code == 0
         assert self._mask_timing(seq.stdout_bytes) == self._mask_timing(par.stdout_bytes)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_batch_jobs_below_one_is_a_usage_error(self, runner, batch_dir, jobs):
+        result = runner.invoke(main, ["batch", str(batch_dir), "--jobs", jobs])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stdout == ""
+        assert "--jobs" in result.stderr
 
     def test_batch_json(self, runner, batch_dir):
         result = runner.invoke(main, ["batch", str(batch_dir), "--json"])

@@ -235,19 +235,65 @@ class TestOnlineSnf:
             assert state.factors == expected
 
     def test_changed_matches_span_membership(self):
+        # up to 8-D, the dimensions the bridge driver runs.  Three kinds of
+        # stream: random entries in [-50, 50]; a falling power of two ahead
+        # of small entries, so the first pivot halves on every vector; and
+        # random draws mixed with combinations of earlier vectors, so
+        # in-span vectors arrive before the span is complete
         rng = np.random.default_rng(24)
+        kinds = [0, 0, 0]
         for _ in range(300):
-            n = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 9))
+            count = int(rng.integers(1, 21))
+            kind = int(rng.integers(0, 3))
+            kinds[kind] += 1
             state = OnlineSnfState(n)
-            accepted = []
-            for _ in range(int(rng.integers(1, 8))):
-                v = [int(rng.integers(-5, 6)) for _ in range(n)]
+            vectors, accepted = [], []
+            for j in range(count):
+                if kind == 1:
+                    v = [2 ** (count - j)] + [
+                        int(rng.integers(-3, 4)) for _ in range(n - 1)
+                    ]
+                elif kind == 2 and vectors and rng.random() < 0.5:
+                    coef = [int(rng.integers(-3, 4)) for _ in vectors]
+                    v = [sum(c * w[i] for c, w in zip(coef, vectors)) for i in range(n)]
+                else:
+                    v = [int(rng.integers(-50, 51)) for _ in range(n)]
                 cols = [[a[i] for a in accepted] for i in range(n)]
                 was_in_span = in_span(cols, v)
                 changed = state.add(v)
                 assert changed == (not was_in_span)
                 if changed:
                     accepted.append(v)
+                vectors.append(v)
+                # the accepted vectors span what the whole stream does
+                # (checked above); they are fewer columns for the reference
+                # SNF, whose entries can grow without bound on wide matrices
+                batch = [[a[i] for a in accepted] for i in range(n)]
+                assert state.is_complete() == spans_lattice(batch)
+        assert min(kinds) > 50
+
+    def test_basis_stays_in_hermite_form(self):
+        # falling powers of two times one vector make an unreduced echelon
+        # basis grow past 10^5-bit entries; the Hermite form keeps every
+        # entry above a pivot in [0, pivot)
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            count = int(rng.integers(1, 21))
+            base = [int(rng.integers(-50, 51)) for _ in range(n)]
+            state = OnlineSnfState(n)
+            for j in range(count):
+                noise = [int(rng.integers(-1, 2)) for _ in range(n)]
+                state.add([2 ** (count - j) * (x + y) for x, y in zip(base, noise)])
+                for i, row in enumerate(state._rows):
+                    if row is None:
+                        continue
+                    assert all(x == 0 for x in row[:i]) and row[i] > 0
+                    for k in range(i + 1, n):
+                        pivot = state._rows[k]
+                        if pivot is not None:
+                            assert 0 <= row[k] < pivot[k]
 
     def test_factors_never_increase(self):
         rng = np.random.default_rng(25)
