@@ -18,7 +18,6 @@ from .errors import (
     MissingSites,
     OracleInconclusive,
     ParseError,
-    ShellCapExceeded,
     SymOpError,
 )
 from .geometry import (
@@ -38,7 +37,7 @@ from .ingest import (
     write_json_set,
 )
 from .intlinalg import OnlineSnfState, SnfResult, in_span, snf, spans_lattice
-from .oracle import oracle_bridge_length, patch_points
+from .oracle import oracle_bridge_length
 from .quotient import EdgeOutcome, QuotientState
 
 __version__ = "0.1.0"
@@ -62,7 +61,6 @@ __all__ = [
     "ParseError",
     "PeriodicSet",
     "QuotientState",
-    "ShellCapExceeded",
     "SnfResult",
     "SymOpError",
     "bridge_length",
@@ -73,7 +71,6 @@ __all__ = [
     "oracle_bridge_length",
     "parse_cif",
     "parse_json_set",
-    "patch_points",
     "read_set_file",
     "snf",
     "spans_lattice",

@@ -27,10 +27,6 @@ from .geometry import PeriodicSet
 from .intlinalg import OnlineSnfState
 from .quotient import QuotientState
 
-#: Relative slack applied to the r(U) horizon so an edge exactly at the
-#: bound survives float rounding.
-_HORIZON_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class BridgeReport:
@@ -66,7 +62,6 @@ def bridge_length(pset: PeriodicSet) -> BridgeReport:
     t0 = time.perf_counter()
     gen = EdgeGenerator(pset)
     r_upper = gen.metrics.r_upper
-    gen.max_length = r_upper * (1.0 + _HORIZON_SLACK)
     state = QuotientState(pset.motif_size, pset.dim)
     snf_state = OnlineSnfState(pset.dim)
     examined = 0

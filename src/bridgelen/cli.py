@@ -4,16 +4,18 @@
 ``batch DIR`` prints one CSV row per .cif/.json file in the directory,
 processing files concurrently but assembling output in a deterministic
 order.  Exit codes: 0 ok, 1 parse/read error, 2 degenerate cell or usage
-error (a bad option value), 3 verification mismatch, 4 oracle inconclusive.
+error (a bad option value, such as a --tol that is not a finite number
+> 0), 3 verification mismatch, 4 oracle inconclusive.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -134,9 +136,19 @@ _symmetry_option = click.option(
     is_flag=True,
     help="Do not expand CIF symmetry operations.",
 )
+
+
+def _finite_positive(ctx, param, value: float) -> float:
+    # click.FloatRange(min=0, min_open=True) would still let nan through
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value} is not a finite number > 0.")
+    return value
+
+
 _tol_option = click.option(
     "--tol",
     type=float,
+    callback=_finite_positive,
     default=SYMMETRY_DEDUP_TOL,
     show_default=True,
     help="Wrap-aware fractional tolerance for merging symmetry images.",
@@ -255,21 +267,7 @@ def batch(directory, as_json, jobs, fmt, no_symmetry, tol, precision):
     rows.sort(key=lambda r: r.id)
 
     if as_json:
-        payload = {
-            "rows": [
-                {
-                    "id": r.id,
-                    "atoms": r.atoms,
-                    "beta": r.beta,
-                    "r_upper": r.r_upper,
-                    "ratio": r.ratio,
-                    "basis_size": r.basis_size,
-                    "ms": r.ms,
-                    "error": r.error,
-                }
-                for r in rows
-            ]
-        }
+        payload = {"rows": [asdict(r) for r in rows]}
         ok = [r.beta for r in rows if not r.error]
         if ok:
             payload["mean_beta"] = sum(ok) / len(ok)

@@ -16,7 +16,7 @@ The buffer is a set of parallel arrays (length, source, dest,
 translation): after each shell the unread rest and the new candidates are
 put in yield order with one ``np.lexsort`` and a cursor walks them, so a
 :class:`CandidateEdge` is built only for an edge that is yielded.  A
-buffered edge of length L is released only when L <= the
+buffered edge of length L is released only when L is strictly below the
 *height-projected* lower bound on every edge reaching any un-enumerated
 shell:
 
@@ -27,7 +27,14 @@ shortest motif-to-face distances measured along that height direction.
 Crossing from the central cell into shell sigma advances at least
 (sigma - 1) full heights plus the exit and entry legs in some direction,
 so the bound is exact for rectangular cells and safe for skewed ones.
-This is what makes the stream provably monotone.
+This is what makes the stream provably monotone.  The release is strict
+because an edge in an unvisited shell can be exactly as long as the
+bound; releasing at equality would yield it after a longer-keyed tie.
+
+The horizon ``max_length`` is the stream's only stop rule: edges longer
+than it are never buffered, and the stream ends once the release bound
+passes it.  It defaults to the cell bound r_upper (plus a relative slack),
+and every edge up to r_upper lies within ceil(aspect) + 1 shells.
 
 A generator is single-owner mutable state; distinct generators are
 independent.
@@ -41,8 +48,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShellCapExceeded
-from .geometry import PeriodicSet, cell_metrics, facet_heights, row_norms
+from .geometry import PeriodicSet, cell_metrics, row_norms
+
+#: Relative slack applied to the default r_upper horizon so an edge exactly
+#: at the bound survives float rounding.
+_HORIZON_SLACK = 1e-9
 
 #: Most rows one block of a shell builds: face translations per block, and
 #: translations x motif pairs per block (a block holds at least one
@@ -107,37 +117,27 @@ class EdgeGenerator:
     max_length : float, optional
         Horizon: edges longer than this are discarded at enumeration time
         and the stream raises StopIteration once no shorter edge can
-        remain.  The bridge driver sets this to the cell upper bound.
-    shell_cap : int, optional
-        Hard cap on the shell index (default ceil(aspect) + 2).  Driving
-        the stream past the cap without an explicit larger cap raises
-        :class:`ShellCapExceeded`, turning caller bugs into diagnosable
-        errors instead of an unbounded enumeration.
+        remain.  Defaults to the cell bound r_upper * (1 + 1e-9), which
+        every bridge length lies below; pass ``math.inf`` for an unbounded
+        stream.
     """
 
-    def __init__(
-        self,
-        pset: PeriodicSet,
-        max_length: Optional[float] = None,
-        shell_cap: Optional[int] = None,
-    ):
-        self.set = pset
+    def __init__(self, pset: PeriodicSet, max_length: Optional[float] = None):
         self._m = pset.motif_size
         self._n = pset.dim
         self._basis = pset.basis.vectors
         cart = pset.cartesian_motif
         self.metrics = cell_metrics(pset.basis)
-        heights = facet_heights(pset.basis)
+        heights = np.array(self.metrics.heights)
         frac = pset.motif.points
         to_high_face = (1.0 - frac).min(axis=0)  # min over motif, per axis
         to_low_face = frac.min(axis=0)
         self._heights = heights
         self._alpha_h = to_high_face * heights
         self._beta_h = to_low_face * heights
+        if max_length is None:
+            max_length = self.metrics.r_upper * (1.0 + _HORIZON_SLACK)
         self.max_length = max_length
-        self.shell_cap = (
-            math.ceil(self.metrics.aspect) + 2 if shell_cap is None else shell_cap
-        )
         pair_src, pair_dst = np.triu_indices(self._m, k=1)
         self._pair_src = pair_src.astype(np.int32)
         self._pair_dst = pair_dst.astype(np.int32)
@@ -184,7 +184,7 @@ class EdgeGenerator:
         """Next shortest not-yet-yielded edge class."""
         while True:
             k = self._cursor
-            if k < len(self._length) and self._length[k] <= self._bound:
+            if k < len(self._length) and self._length[k] < self._bound:
                 self._cursor = k + 1
                 return CandidateEdge(
                     float(self._length[k]),
@@ -192,21 +192,15 @@ class EdgeGenerator:
                     int(self._dest[k]),
                     tuple(self._translation[k].tolist()),
                 )
-            if self.max_length is not None and self._bound > self.max_length:
+            if self._bound > self.max_length:
                 raise StopIteration
-            if self._next_shell > self.shell_cap:
-                raise ShellCapExceeded(
-                    f"shell {self._next_shell} exceeds cap {self.shell_cap} "
-                    f"(aspect {self.metrics.aspect:.3f}); pass a larger "
-                    f"shell_cap to enumerate further"
-                )
             self._enumerate_shell(self._next_shell)
             self._next_shell += 1
             self._bound = self._release_bound(self._next_shell)
 
     def _enumerate_shell(self, s: int) -> None:
         m = self._m
-        horizon = math.inf if self.max_length is None else self.max_length
+        horizon = self.max_length
         k = self._cursor
         parts = [
             (self._length[k:], self._source[k:], self._dest[k:], self._translation[k:])

@@ -35,14 +35,6 @@ class SymOpError(ParseError):
     """Symmetry-operation string could not be parsed."""
 
 
-class ShellCapExceeded(RuntimeError):
-    """The edge generator was driven past its shell safety cap.
-
-    The bridge computation provably terminates within the cap, so hitting
-    this indicates a caller bug (draining the generator without an
-    explicitly extended cap)."""
-
-
 class OracleInconclusive(RuntimeError):
     """The brute-force patch was too small to certify a connectivity
     threshold below the cell upper bound."""

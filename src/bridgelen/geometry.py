@@ -106,10 +106,6 @@ class LatticeBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def lengths(self) -> np.ndarray:
-        """Euclidean length of each basis vector."""
-        return row_norms(self.vectors)
-
     def __eq__(self, other):
         return isinstance(other, LatticeBasis) and np.array_equal(
             self.vectors, other.vectors
@@ -225,6 +221,7 @@ class CellMetrics:
     h        shortest cell height
     r_upper  max(b, d/2); upper bound on the bridge length
     aspect   r_upper / h; bounds the number of shells ever enumerated
+    heights  height of the cell over each facet (see facet_heights)
     """
 
     b: float
@@ -233,6 +230,7 @@ class CellMetrics:
     h: float
     r_upper: float
     aspect: float
+    heights: tuple[float, ...]
 
 
 def facet_volumes(basis: LatticeBasis) -> np.ndarray:
@@ -275,6 +273,15 @@ def cell_metrics(basis: LatticeBasis) -> CellMetrics:
         diag = v[0] + (np.asarray(signs) @ rest if n > 1 else 0.0)
         d = max(d, float(row_norms(diag)))
     vol = abs(float(np.linalg.det(v)))
-    h = float(np.min(facet_heights(basis)))
+    heights = facet_heights(basis)
+    h = float(np.min(heights))
     r_upper = max(b, d / 2.0)
-    return CellMetrics(b=b, d=d, vol=vol, h=h, r_upper=r_upper, aspect=r_upper / h)
+    return CellMetrics(
+        b=b,
+        d=d,
+        vol=vol,
+        h=h,
+        r_upper=r_upper,
+        aspect=r_upper / h,
+        heights=tuple(heights.tolist()),
+    )

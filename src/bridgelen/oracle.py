@@ -66,18 +66,6 @@ def min_patch_extent(pset: PeriodicSet) -> int:
     return 2 * math.ceil(cell_metrics(pset.basis).aspect) + 3
 
 
-def patch_points(pset: PeriodicSet, k: int) -> np.ndarray:
-    """Cartesian positions of all motif copies in cells with L-inf index
-    <= k, ordered cell-major (cells in lexicographic order, motif order
-    within each cell)."""
-    cells = np.array(
-        list(itertools.product(range(-k, k + 1), repeat=pset.dim)), dtype=float
-    )
-    shifts = cells @ pset.basis.vectors
-    cart = pset.cartesian_motif
-    return (shifts[:, None, :] + cart[None, :, :]).reshape(-1, pset.dim)
-
-
 def oracle_bridge_length(pset: PeriodicSet, k: int | None = None) -> float:
     """Definitional bridge length on a (2k+1)^n-cell patch.
 

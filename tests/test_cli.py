@@ -97,6 +97,17 @@ def test_negative_precision_is_a_usage_error(runner, fixtures_dir):
     assert "--precision" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["compute", "batch"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_not_finite_positive_is_a_usage_error(runner, fixtures_dir, command, tol):
+    target = fixtures_dir / "bcc.json" if command == "compute" else fixtures_dir
+    result = runner.invoke(main, [command, str(target), "--tol", tol])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stdout == ""
+    assert "--tol" in result.stderr
+
+
 def test_format_override(runner, fixtures_dir, tmp_path):
     odd = tmp_path / "bcc.data"
     odd.write_text((fixtures_dir / "bcc.json").read_text())

@@ -11,7 +11,6 @@ from bridgelen import (
     LatticeBasis,
     Motif,
     PeriodicSet,
-    ShellCapExceeded,
     cell_metrics,
 )
 from bridgelen import edges as edges_module
@@ -100,11 +99,11 @@ def lattice_set(name, n):
 
 class TestKnownStreams:
     def test_z1_integer_lengths(self, z1):
-        lengths = [e.length for e in take(EdgeGenerator(z1, shell_cap=10), 6)]
+        lengths = [e.length for e in take(EdgeGenerator(z1, max_length=math.inf), 6)]
         assert lengths == pytest.approx([1, 2, 3, 4, 5, 6])
 
     def test_z2_first_classes(self, z2):
-        edges = take(EdgeGenerator(z2), 4)
+        edges = take(EdgeGenerator(z2, max_length=math.inf), 4)
         assert [e.length for e in edges] == pytest.approx([1, 1, math.sqrt(2), math.sqrt(2)])
         assert {e.translation for e in edges[:2]} == {(1, 0), (0, 1)}
         assert {e.translation for e in edges[2:]} == {(1, -1), (1, 1)}
@@ -126,9 +125,18 @@ class TestKnownStreams:
         assert (e.source, e.dest, e.translation) == (0, 1, (0, 1))
         assert e.length == pytest.approx(math.sqrt(0.05))
 
+    def test_tie_across_a_shell_boundary_keeps_key_order(self):
+        # (0, 2) from shell 2 is exactly as long as (1, 0) from shell 1 and
+        # as the release bound after shell 1; it must still come first
+        pset = PeriodicSet(LatticeBasis([[2.0, 0.0], [0.0, 1.0]]), Motif([[0.0, 0.0]]))
+        got = take(EdgeGenerator(pset, max_length=math.inf), 12)
+        assert [(e.length, e.source, e.dest, e.translation) for e in got] == (
+            brute_force_prefix(pset, 12)
+        )
+
     def test_cube_single_point_axis_edges(self, z3):
         # the 2n axis edges collapse to n canonical classes of length 1
-        gen = EdgeGenerator(z3)
+        gen = EdgeGenerator(z3, max_length=math.inf)
         edges = take(gen, 3)
         assert all(e.length == pytest.approx(1.0) for e in edges)
         assert {e.translation for e in edges} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
@@ -141,7 +149,7 @@ class TestAgainstBruteForce:
         k = 40
         for _ in range(100):
             pset = random_set(rng)
-            got = take(EdgeGenerator(pset, shell_cap=200), k)
+            got = take(EdgeGenerator(pset, max_length=math.inf), k)
             assert_prefix_matches(got, brute_force_prefix(pset, k + 1))
 
     @pytest.mark.parametrize("name", ["Z", "BCC", "D", "A"])
@@ -149,21 +157,21 @@ class TestAgainstBruteForce:
         # many exact ties, and shells whose faces span four leading axes
         pset = lattice_set(name, 4)
         k = 60
-        got = take(EdgeGenerator(pset, shell_cap=200), k)
+        got = take(EdgeGenerator(pset, max_length=math.inf), k)
         assert_prefix_matches(got, brute_force_prefix(pset, k + 1))
 
     def test_monotone_lengths_fuzz(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
             pset = random_set(rng)
-            lengths = [e.length for e in take(EdgeGenerator(pset, shell_cap=200), 100)]
+            lengths = [e.length for e in take(EdgeGenerator(pset, max_length=math.inf), 100)]
             assert all(a <= b for a, b in zip(lengths, lengths[1:]))
 
     def test_no_class_yielded_twice(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
             pset = random_set(rng)
-            edges = take(EdgeGenerator(pset, shell_cap=200), 120)
+            edges = take(EdgeGenerator(pset, max_length=math.inf), 120)
             keys = [(e.source, e.dest, e.translation) for e in edges]
             assert len(set(keys)) == len(keys)
 
@@ -171,7 +179,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(44)
         for _ in range(50):
             pset = random_set(rng)
-            for e in take(EdgeGenerator(pset, shell_cap=200), 60):
+            for e in take(EdgeGenerator(pset, max_length=math.inf), 60):
                 assert e.source <= e.dest
                 if e.source == e.dest:
                     assert lex_positive(e.translation)
@@ -182,7 +190,7 @@ class TestAgainstBruteForce:
         for _ in range(50):
             pset = random_set(rng)
             cart = pset.cartesian_motif
-            for e in take(EdgeGenerator(pset, shell_cap=200), 60):
+            for e in take(EdgeGenerator(pset, max_length=math.inf), 60):
                 shift = np.asarray(e.translation, dtype=float) @ pset.basis.vectors
                 recomputed = np.linalg.norm(cart[e.dest] + shift - cart[e.source])
                 assert e.length == pytest.approx(recomputed, rel=1e-12)
@@ -224,23 +232,40 @@ class TestShellFaces:
         psets.append(lattice_set("A", 4))
         expected = []
         for pset in psets:
-            gen = EdgeGenerator(pset, shell_cap=200)
+            gen = EdgeGenerator(pset, max_length=math.inf)
             expected.append((take(gen, 150), gen.pending))
         monkeypatch.setattr(edges_module, "_BLOCK", block)
         for pset, want in zip(psets, expected):
-            gen = EdgeGenerator(pset, shell_cap=200)
+            gen = EdgeGenerator(pset, max_length=math.inf)
             assert (take(gen, 150), gen.pending) == want
 
 
 class TestCapsAndHorizons:
-    def test_shell_cap_raises_on_misuse(self, z2):
-        gen = EdgeGenerator(z2)
-        with pytest.raises(ShellCapExceeded):
-            for _ in range(10_000):
-                next(gen)
+    def test_default_horizon_is_the_cell_bound(self):
+        # drained, the default stream is every class up to r_upper, and it
+        # never needs more than ceil(aspect) + 1 shells to get there
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            pset = random_set(rng)
+            metrics = cell_metrics(pset.basis)
+            gen = EdgeGenerator(pset)
+            got = list(gen)
+            expected = [
+                c
+                for c in brute_force_classes(pset, math.ceil(metrics.aspect) + 3)
+                if c[0] <= metrics.r_upper * (1 + 1e-9)
+            ]
+            assert [e.length for e in got] == pytest.approx(
+                [c[0] for c in expected], rel=1e-12, abs=1e-12
+            )
+            assert {(e.source, e.dest, e.translation) for e in got} == {
+                (s, d, t) for _, s, d, t in expected
+            }
+            assert gen.shells_enumerated <= math.ceil(metrics.aspect) + 1
 
     def test_extended_cap_allows_more_shells(self, z2):
-        gen = EdgeGenerator(z2, shell_cap=30)
+        # an unbounded stream runs far past the default horizon r_upper = 1
+        gen = EdgeGenerator(z2, max_length=math.inf)
         edges = take(gen, 400)
         assert edges[-1].length > 5
 

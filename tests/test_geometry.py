@@ -95,6 +95,14 @@ class TestCellMetrics:
             ]
             assert facet_heights(basis) == pytest.approx(expected, rel=1e-9)
 
+    def test_metrics_carry_the_facet_heights(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            basis = random_basis(rng, int(rng.integers(1, 9)), max_aspect=10.0)
+            m = cell_metrics(basis)
+            assert m.heights == tuple(facet_heights(basis).tolist())
+            assert m.h == min(m.heights)
+
     def test_order_invariants_on_random_bases(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bridgelen import cell_metrics, oracle_bridge_length, patch_points
+from bridgelen import cell_metrics, oracle_bridge_length
 from bridgelen.oracle import min_patch_extent
 
 from conftest import make_set, random_set
@@ -27,15 +27,6 @@ class TestKnownValues:
 
 
 class TestPatch:
-    def test_patch_point_count(self, bcc):
-        pts = patch_points(bcc, 2)
-        assert pts.shape == (2 * 5**3, 3)
-
-    def test_patch_contains_translates(self, z2):
-        pts = patch_points(z2, 1)
-        expected = {(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)}
-        assert {tuple(np.round(p).astype(int)) for p in pts} == expected
-
     def test_extent_floor_enforced(self, z2):
         assert min_patch_extent(z2) == 5
         with pytest.raises(ValueError):
