@@ -34,8 +34,8 @@ class BridgeReport:
 
     beta == last_edge.length, and beta <= r_upper always.  Each entry of
     basis_cycle_edges carries the cycle-sum column it contributed; columns
-    are recorded only when they grow the integer span, so
-    translational_basis_size == len(basis_cycle_edges).
+    are recorded only when they grow the integer span.  Built only by
+    :func:`bridge_length`.
     """
 
     beta: float
@@ -45,47 +45,47 @@ class BridgeReport:
     r_upper: float
     shells_enumerated: int
     edges_examined: int
-    translational_basis_size: int
     elapsed: float
+
+    @property
+    def translational_basis_size(self) -> int:
+        return len(self.basis_cycle_edges)
 
 
 def bridge_length(pset: PeriodicSet) -> BridgeReport:
     """Exact bridge length with a full provenance trace.
 
-    Edges are classified against the growing forest; cycle sums outside the
-    current integer span are appended to the translational matrix (edges
-    whose cycle sum is zero or already spanned cannot change connectivity
-    of the lifted graph and are ignored).  Terminates at the first accepted
-    edge after which the forest is connected and the span certificate is
-    complete.
+    Edges are classified against the growing quotient forest; cycle sums
+    outside the current integer span are appended to the translational
+    matrix (edges whose cycle sum is zero or already spanned cannot change
+    connectivity of the lifted graph and are ignored).  This function owns
+    the trace: it records each forest edge and each span-growing cycle edge
+    as it accepts them.  Terminates at the first accepted edge after which
+    the forest is connected and the span certificate is complete.
     """
     t0 = time.perf_counter()
     gen = EdgeGenerator(pset)
     r_upper = gen.metrics.r_upper
     state = QuotientState(pset.motif_size, pset.dim)
     snf_state = OnlineSnfState(pset.dim)
-    examined = 0
-    for edge in gen:
-        examined += 1
+    forest, cycles = [], []
+    for examined, edge in enumerate(gen, start=1):
         outcome = state.classify_edge(edge)
         if outcome.kind == "forest":
-            accepted = True
-        elif outcome.kind == "cycle":
-            accepted = snf_state.add(outcome.cycle_sum)
-            if accepted:
-                state.add_cycle_edge(edge, outcome.cycle_sum)
+            forest.append(edge)
+        elif outcome.kind == "cycle" and snf_state.add(outcome.cycle_sum):
+            cycles.append((edge, outcome.cycle_sum))
         else:
-            accepted = False
-        if accepted and state.connected() and snf_state.is_complete():
+            continue
+        if state.connected() and snf_state.is_complete():
             return BridgeReport(
                 beta=edge.length,
                 last_edge=edge,
-                forest_edges=tuple(state.forest_edges),
-                basis_cycle_edges=tuple(state.cycle_edges),
+                forest_edges=tuple(forest),
+                basis_cycle_edges=tuple(cycles),
                 r_upper=r_upper,
                 shells_enumerated=gen.shells_enumerated,
                 edges_examined=examined,
-                translational_basis_size=len(state.cycle_edges),
                 elapsed=time.perf_counter() - t0,
             )
     raise RuntimeError(

@@ -2,8 +2,9 @@
 
 
 class DegenerateCell(ValueError):
-    """Basis vectors are (numerically) linearly dependent, or cell
-    parameters do not define a positive-definite metric."""
+    """Basis vectors are (numerically) linearly dependent, cell
+    parameters do not define a positive-definite metric, or the cell is so
+    large or small that its metrics leave the floating-point range."""
 
 
 class InvalidScale(ValueError):

@@ -17,6 +17,7 @@ bounds how many shells of neighbouring cells the edge stream must visit.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,6 +79,28 @@ def coincident(p: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
     return row_norms(wrapped_delta(p, points)) < tol
 
 
+@contextmanager
+def _float_range(vectors: np.ndarray):
+    """Raise DegenerateCell when the cell arithmetic leaves the float range.
+
+    The facet Gram determinants multiply 2(n - 1) basis entries, so Z^3
+    scaled past about 1e+-77, or Z^8 past about 1e+-22, overflows them to
+    inf or underflows them to 0 or a subnormal.  Any overflow, underflow,
+    division by zero or invalid value here rejects the cell (so does a
+    nonzero entry below about 1e-154, whose square underflows), before an
+    inf, NaN or inexact bound can reach the edge stream.
+    """
+    try:
+        with np.errstate(all="raise"):
+            yield
+    except ArithmeticError as exc:
+        scale = float(np.max(np.abs(vectors)))
+        raise DegenerateCell(
+            f"cell with basis entries up to {scale:.3e} is outside the "
+            f"floating-point range of its metrics ({exc})"
+        ) from None
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeBasis:
     """Square matrix of lattice basis vectors (rows), in length units."""
@@ -93,9 +116,11 @@ class LatticeBasis:
             raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("basis entries must be finite")
-        b = float(np.max(row_norms(arr)))
-        det = float(np.linalg.det(arr)) if b > 0 else 0.0
-        if b == 0.0 or abs(det) < DET_FLOOR * b**n:
+        with _float_range(arr):
+            b = float(np.max(row_norms(arr)))
+            det = float(np.linalg.det(arr)) if b > 0 else 0.0
+            floor = DET_FLOOR * b**n
+        if b == 0.0 or abs(det) < floor:
             raise DegenerateCell(
                 f"basis is singular or near-singular (|det|={abs(det):.3e})"
             )
@@ -264,24 +289,25 @@ def cell_metrics(basis: LatticeBasis) -> CellMetrics:
     """All cell-derived scalars used by the bridge algorithm's bounds."""
     v = basis.vectors
     n = basis.dim
-    b = float(np.max(row_norms(v)))
-    # Diagonals are all signed sums of basis vectors; fixing the first sign
-    # halves the (symmetric) enumeration.
-    d = 0.0
-    rest = v[1:]
-    for signs in itertools.product((1.0, -1.0), repeat=n - 1):
-        diag = v[0] + (np.asarray(signs) @ rest if n > 1 else 0.0)
-        d = max(d, float(row_norms(diag)))
-    vol = abs(float(np.linalg.det(v)))
-    heights = facet_heights(basis)
-    h = float(np.min(heights))
-    r_upper = max(b, d / 2.0)
-    return CellMetrics(
-        b=b,
-        d=d,
-        vol=vol,
-        h=h,
-        r_upper=r_upper,
-        aspect=r_upper / h,
-        heights=tuple(heights.tolist()),
-    )
+    with _float_range(v):
+        b = float(np.max(row_norms(v)))
+        # Diagonals are all signed sums of basis vectors; fixing the first sign
+        # halves the (symmetric) enumeration.
+        d = 0.0
+        rest = v[1:]
+        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+            diag = v[0] + (np.asarray(signs) @ rest if n > 1 else 0.0)
+            d = max(d, float(row_norms(diag)))
+        vol = abs(float(np.linalg.det(v)))
+        heights = facet_heights(basis)
+        h = float(np.min(heights))
+        r_upper = max(b, d / 2.0)
+        return CellMetrics(
+            b=b,
+            d=d,
+            vol=vol,
+            h=h,
+            r_upper=r_upper,
+            aspect=r_upper / h,
+            heights=tuple(heights.tolist()),
+        )

@@ -69,7 +69,7 @@ class CrystalDocument:
 
 
 def _tokenize(text: str):
-    """Yield (value, line_number, was_quoted) tokens."""
+    """List of (value, line_number, was_quoted) tokens, in file order."""
     tokens = []
     lines = text.splitlines()
     idx = 0
@@ -262,6 +262,10 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
                 mat[r, "xyz".index(term)] += sign
             elif "/" in term:
                 num, den = term.split("/")
+                if float(den) == 0.0:
+                    raise SymOpError(
+                        f"zero denominator in component {comp!r} of {op!r}"
+                    )
                 trans[r] += sign * float(num) / float(den)
             else:
                 trans[r] += sign * float(term)

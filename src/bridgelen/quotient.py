@@ -1,12 +1,14 @@
-"""Growing labelled quotient graph: union-find with integer offset vectors.
+"""Growing labelled quotient graph: stored roots with integer offset vectors.
 
 Vertices are motif indices; each accepted edge carries an integer
-translation vector.  The forest invariant maintained here: for any two
-vertices u, w in one component, the sum of translation labels along the
-unique forest path from u to w (reversed edges negated) equals
-``offset(u) - offset(w)``, where ``offset(v)`` is the stored path sum from
-v to its current representative.  Queries are near-constant amortized via
-union by size with path compression.
+translation vector.  Every vertex stores the root of its component and its
+offset, the sum of translation labels along the unique forest path from the
+vertex to that root (reversed edges negated).  For two vertices u, w in one
+component the forest path sum from u to w is therefore
+``offset(u) - offset(w)``, read in two list lookups.  Joining two
+components relabels every member of the smaller one (Hopcroft & Ullman,
+"Set merging algorithms", SIAM J. Comput. 2(4), 1973), so a vertex is
+relabelled at most log2(m) times.
 
 Orientation convention: an edge ``(source, dest, v)`` is directed
 source -> dest; a forest edge therefore fixes path_sum(source, dest) = v.
@@ -20,8 +22,8 @@ connectivity test of E. Cohen and N. Megiddo, "Recognizing properties of
 periodic graphs", in *Applied Geometry and Discrete Mathematics*, DIMACS
 Series 4, AMS, 1991, pp. 135-146.
 
-A state has a single mutation owner (finds compress paths); distinct
-states are independent.
+Only :meth:`QuotientState.classify_edge` mutates a state; reads never do.
+Distinct states are independent.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class QuotientState:
-    """Union-find over m motif vertices with per-vertex Z^n offsets.
+    """Components of m motif vertices with per-vertex Z^n offsets.
 
     Offsets are plain int tuples: for n <= 8 a tuple sum costs a fraction
-    of a numpy call, and the finds run once per examined edge.
+    of a numpy call, and the lookups run once per examined edge.
     """
 
     def __init__(self, m: int, n: int):
@@ -63,80 +65,44 @@ class QuotientState:
             raise ValueError("need m >= 1 vertices and n >= 1 dimensions")
         self.m = m
         self.n = n
-        self._parent = list(range(m))
-        self._size = [1] * m
-        self._zero = (0,) * n
-        self._offset = [self._zero] * m
-        self._components = m
-        self.forest_edges: list[CandidateEdge] = []
-        self.cycle_edges: list[tuple[CandidateEdge, tuple[int, ...]]] = []
+        self._root = list(range(m))
+        self._offset = [(0,) * n] * m
+        self._members = {v: [v] for v in range(m)}
 
     @property
     def component_count(self) -> int:
-        return self._components
+        return len(self._members)
 
     def connected(self) -> bool:
-        return self._components == 1
-
-    def _find(self, v: int) -> tuple[int, tuple[int, ...]]:
-        """Representative of v and the path sum from v to it; compresses."""
-        parent, offset = self._parent, self._offset
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        total = self._zero
-        for u in reversed(path):
-            total = _add(total, offset[u])
-        # second pass: repoint everything at the root with its full offset
-        acc = total
-        for u in path:
-            nxt = _sub(acc, offset[u])
-            parent[u] = v
-            offset[u] = acc
-            acc = nxt
-        return v, total
+        return len(self._members) == 1
 
     def classify_edge(self, e: CandidateEdge) -> EdgeOutcome:
-        """Union source/dest for a forest edge, else report the cycle sum.
-
-        Forest edges are recorded here; cycle-contributing edges are
-        recorded by the caller (via :meth:`add_cycle_edge`) once the span
-        test accepts their cycle sum.
-        """
+        """Join source and dest for a forest edge, else report the cycle sum."""
         if not (0 <= e.source < self.m and 0 <= e.dest < self.m):
             raise IndexError("edge endpoint out of range")
         v = tuple(map(int, e.translation))
-        rs, ps = self._find(e.source)
-        rd, pd = self._find(e.dest)
-        if rs != rd:
-            if self._size[rs] >= self._size[rd]:
-                # attach rd under rs; want path_sum(source, dest) == v
-                self._offset[rd] = _sub(_sub(ps, v), pd)
-                self._parent[rd] = rs
-                self._size[rs] += self._size[rd]
-            else:
-                self._offset[rs] = _sub(_add(v, pd), ps)
-                self._parent[rs] = rd
-                self._size[rd] += self._size[rs]
-            self._components -= 1
-            self.forest_edges.append(e)
-            return EdgeOutcome(kind="forest")
-        c = _sub(_sub(ps, pd), v)
-        if not any(c):
-            return EdgeOutcome(kind="zero_cycle")
-        return EdgeOutcome(kind="cycle", cycle_sum=c)
-
-    def add_cycle_edge(self, e: CandidateEdge, cycle_sum: tuple[int, ...]) -> None:
-        """Record an accepted cycle-contributing edge."""
-        self.cycle_edges.append((e, cycle_sum))
+        rs, rd = self._root[e.source], self._root[e.dest]
+        c = _sub(_sub(self._offset[e.source], self._offset[e.dest]), v)
+        if rs == rd:
+            if not any(c):
+                return EdgeOutcome(kind="zero_cycle")
+            return EdgeOutcome(kind="cycle", cycle_sum=c)
+        # relabel the smaller side so that path_sum(source, dest) == v
+        if len(self._members[rs]) >= len(self._members[rd]):
+            keep, gone, shift = rs, rd, c
+        else:
+            keep, gone, shift = rd, rs, tuple(-x for x in c)
+        moved = self._members.pop(gone)
+        for u in moved:
+            self._root[u] = keep
+            self._offset[u] = _add(self._offset[u], shift)
+        self._members[keep].extend(moved)
+        return EdgeOutcome(kind="forest")
 
     def path_sum(self, u: int, w: int) -> Optional[np.ndarray]:
         """Sum of labels along the forest path u -> w; None if disconnected."""
         if not (0 <= u < self.m and 0 <= w < self.m):
             raise IndexError("vertex out of range")
-        ru, pu = self._find(u)
-        rw, pw = self._find(w)
-        if ru != rw:
+        if self._root[u] != self._root[w]:
             return None
-        return np.array(_sub(pu, pw), dtype=np.int64)
+        return np.array(_sub(self._offset[u], self._offset[w]), dtype=np.int64)

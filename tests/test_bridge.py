@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bridgelen import (
+    DegenerateCell,
     EmptyInput,
     LatticeBasis,
     Motif,
@@ -169,6 +170,41 @@ class TestBoundsAndInvariances:
         assert half.beta == 0.5 * full.beta
         assert full.shells_enumerated == 2
         assert half.shells_enumerated == 3
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("k", [20, 25, 50, 90, 100, 150, 160, 200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_scale_outside_float_range_is_exact_or_rejected(self, n, k, sign):
+        # Z^n scaled by 10^k: either beta is the scale or the cell is
+        # rejected before an inf, NaN or subnormal bound reaches the stream.
+        # Up to 10^+-50 (Z^3) and 10^+-20 (Z^8) beta has always been exact.
+        k *= sign
+        c = 10.0**k
+        exact = abs(k) <= {3: 50, 8: 20}[n]
+        try:
+            beta = bridge_length(make_set(np.eye(n) * c, np.zeros((1, n)))).beta
+        except DegenerateCell as exc:
+            assert "floating-point range" in str(exc)
+            assert not exact
+        else:
+            assert beta == pytest.approx(c, rel=1e-12)
+            assert beta == c or not exact
+
+    def test_motif_order_invariance(self):
+        # Join order decides which component is relabelled; beta, the forest
+        # size and the oracle value must not depend on it.  Not bitwise: a
+        # reversed pair's length is computed from its other end.
+        rng = np.random.default_rng(58)
+        for _ in range(30):
+            pset = random_set(rng, n=int(rng.integers(1, 4)), m=int(rng.integers(1, 13)))
+            m = pset.motif_size
+            beta = bridge_length(pset).beta
+            assert oracle_bridge_length(pset) == pytest.approx(beta, rel=1e-9)
+            for _ in range(3):
+                points = pset.motif.points[rng.permutation(m)]
+                report = bridge_length(PeriodicSet(pset.basis, Motif(points)))
+                assert report.beta == pytest.approx(beta, rel=1e-12)
+                assert len(report.forest_edges) == m - 1
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(55)

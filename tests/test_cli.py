@@ -63,6 +63,18 @@ def test_compute_degenerate_cell_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_compute_cell_outside_float_range_exits_2(runner, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"dim": 3, "basis": [[1e100,0,0],[0,1e100,0],[0,0,1e100]], '
+        '"motif_fractional": [[0,0,0]]}'
+    )
+    result = runner.invoke(main, ["compute", str(huge)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "floating-point range" in result.stderr
+
+
 def test_compute_cif_uses_block_name(runner, fixtures_dir):
     result = runner.invoke(main, ["compute", str(fixtures_dir / "bcc.cif")])
     assert result.exit_code == 0

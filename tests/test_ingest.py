@@ -190,6 +190,8 @@ class TestSymmetryOps:
             parse_symmetry_op("x, y, 2w")
         with pytest.raises(SymOpError):
             parse_symmetry_op("x, y, z z")
+        with pytest.raises(SymOpError, match=r"zero denominator .*'x\+1/0, y, z'"):
+            parse_symmetry_op("x+1/0, y, z")
 
 
 class TestToPeriodicSet:

@@ -1,4 +1,4 @@
-"""Tests for the labelled-quotient-graph state (offset union-find)."""
+"""Tests for the labelled-quotient-graph state (stored roots and offsets)."""
 
 import numpy as np
 import pytest
@@ -85,15 +85,6 @@ class TestClassify:
         before = state.component_count
         state.classify_edge(edge(0, 1, (0, 1)))
         assert state.component_count == before
-
-    def test_forest_edges_recorded(self):
-        state = QuotientState(3, 2)
-        e1 = edge(0, 1, (1, 0))
-        state.classify_edge(e1)
-        assert state.forest_edges == [e1]
-        out = state.classify_edge(edge(0, 1, (0, 1)))
-        state.add_cycle_edge(edge(0, 1, (0, 1)), out.cycle_sum)
-        assert len(state.cycle_edges) == 1
 
 
 class TestPathSum:
