@@ -11,14 +11,15 @@ self-pair is never emitted.
 Candidates are enumerated one supercell shell at a time (all cells at a
 fixed L-infinity distance).  A shell is built straight from its faces, in
 blocks of translations; each block gives the lengths of all its motif
-pairs in one numpy expression and drops those beyond the horizon at once.
-The buffer is a set of parallel arrays (length, source, dest,
-translation): after each shell the unread rest and the new candidates are
-put in yield order with one ``np.lexsort`` and a cursor walks them, so a
-:class:`CandidateEdge` is built only for an edge that is yielded.  A
-buffered edge of length L is released only when L is strictly below the
-*height-projected* lower bound on every edge reaching any un-enumerated
-shell:
+pairs in one numpy expression and keeps only those inside a length band
+(lo, hi] at once.  The buffer is a set of parallel arrays (length, source,
+dest, translation): after each shell the unread rest and the new
+candidates are put in yield order and a cursor walks them, so a
+:class:`CandidateEdge` is built only for an edge that is yielded.  The
+order is one stable ``np.argsort`` of the lengths; the full key is sorted
+only on the rows inside runs of equal length.  A buffered edge of length
+L is released only when L is strictly below the *height-projected* lower
+bound on every edge reaching any un-enumerated shell:
 
     bound(sigma) = min_i [ alpha_i + beta_i + (sigma - 1) * h_i ]
 
@@ -32,9 +33,20 @@ because an edge in an unvisited shell can be exactly as long as the
 bound; releasing at equality would yield it after a longer-keyed tie.
 
 The horizon ``max_length`` is the stream's only stop rule: edges longer
-than it are never buffered, and the stream ends once the release bound
+than it are never yielded, and the stream ends once the release bound
 passes it.  It defaults to the cell bound r_upper (plus a relative slack),
-and every edge up to r_upper lies within ceil(aspect) + 1 shells.
+and every edge up to r_upper lies within ceil(aspect) + 1 shells.  Inside
+it the stream keeps a smaller *working horizon* H, which starts at twice
+the edge of a cube holding one motif point, 2 (vol / m)^(1/n), capped at
+``max_length``.  Shells are built keeping only the edges up to H.  When
+the release bound passes H with the buffer empty, H doubles (again capped
+at ``max_length``) and the shells already built are scanned once more for
+the band (H_old, H_new] alone.  Every length is computed by the same
+expression in every pass, so each class falls in exactly one band, and
+the edges up to H are a prefix of the whole stream: the yield order, and
+the shells built before each yield, are those of a single band up to
+``max_length``.  A consumer that stops after an edge of length L has had
+only the edges up to max(H_0, 2 L) buffered and sorted.
 
 A generator is single-owner mutable state; distinct generators are
 independent.
@@ -59,6 +71,13 @@ _HORIZON_SLACK = 1e-9
 #: translation).  Working memory is bounded per block, not per shell:
 #: shell 3 in 8-D alone has 5.4 million faces.
 _BLOCK = 1 << 12
+
+#: The working horizon starts at this multiple of (vol / m)^(1/n), the edge
+#: of a cube holding one motif point on average ...
+_START_FACTOR = 2.0
+
+#: ... and is multiplied by this each time the stream runs dry below it.
+_GROWTH_FACTOR = 2.0
 
 
 @dataclass(frozen=True, order=True)
@@ -108,6 +127,27 @@ def _lex_positive_rows(t: np.ndarray) -> np.ndarray:
     return t[np.arange(len(t)), first] > 0
 
 
+def _yield_order(length, source, dest, translation) -> np.ndarray:
+    """Permutation putting the rows in (length, source, dest, translation)
+    order.
+
+    A stable argsort of the lengths alone places every row whose length is
+    unique; the rows in runs of equal length are then re-sorted by the
+    full key among themselves.  Their lengths are the same multiset, so
+    each run keeps its positions.
+    """
+    order = np.argsort(length, kind="stable")
+    same = length[order[1:]] == length[order[:-1]]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    if tied.any():
+        rows = order[tied]
+        key = (*translation[rows].T[::-1], dest[rows], source[rows], length[rows])
+        order[tied] = rows[np.lexsort(key)]
+    return order
+
+
 class EdgeGenerator:
     """Resumable edge stream over a periodic set.
 
@@ -115,11 +155,12 @@ class EdgeGenerator:
     ----------
     pset : PeriodicSet
     max_length : float, optional
-        Horizon: edges longer than this are discarded at enumeration time
-        and the stream raises StopIteration once no shorter edge can
-        remain.  Defaults to the cell bound r_upper * (1 + 1e-9), which
-        every bridge length lies below; pass ``math.inf`` for an unbounded
-        stream.
+        Horizon, the stream's only stop rule: edges longer than this are
+        never yielded, and the stream raises StopIteration once no shorter
+        edge can remain.  Defaults to the cell bound r_upper * (1 + 1e-9),
+        which every bridge length lies below; pass ``math.inf`` for an
+        unbounded stream.  The working horizon up to which shells are
+        buffered grows towards it on demand; NaN raises ValueError.
     """
 
     def __init__(self, pset: PeriodicSet, max_length: Optional[float] = None):
@@ -137,7 +178,11 @@ class EdgeGenerator:
         self._beta_h = to_low_face * heights
         if max_length is None:
             max_length = self.metrics.r_upper * (1.0 + _HORIZON_SLACK)
+        if math.isnan(max_length):
+            raise ValueError("max_length must be a number or math.inf, not NaN")
         self.max_length = max_length
+        cube = (self.metrics.vol / self._m) ** (1.0 / self._n)
+        self._horizon = min(max_length, _START_FACTOR * cube)
         pair_src, pair_dst = np.triu_indices(self._m, k=1)
         self._pair_src = pair_src.astype(np.int32)
         self._pair_dst = pair_dst.astype(np.int32)
@@ -160,7 +205,9 @@ class EdgeGenerator:
 
     @property
     def pending(self) -> tuple[CandidateEdge, ...]:
-        """Buffered candidates, in yield order (copy; inspection only)."""
+        """Buffered candidates not yet yielded, in yield order (copy;
+        inspection only): those of the shells built so far up to the
+        working horizon, not up to ``max_length``."""
         k = self._cursor
         return tuple(
             CandidateEdge(length, source, dest, tuple(t))
@@ -192,19 +239,26 @@ class EdgeGenerator:
                     int(self._dest[k]),
                     tuple(self._translation[k].tolist()),
                 )
-            if self._bound > self.max_length:
+            if self._bound <= self._horizon:
+                self._merge(self._collect(self._next_shell, -math.inf, self._horizon))
+                self._next_shell += 1
+                self._bound = self._release_bound(self._next_shell)
+            elif self._horizon < self.max_length:
+                # the buffer is empty: every edge up to the horizon is out
+                lo = self._horizon
+                self._horizon = min(lo * _GROWTH_FACTOR, self.max_length)
+                self._merge(
+                    part
+                    for s in range(self._next_shell)
+                    for part in self._collect(s, lo, self._horizon)
+                )
+            else:
                 raise StopIteration
-            self._enumerate_shell(self._next_shell)
-            self._next_shell += 1
-            self._bound = self._release_bound(self._next_shell)
 
-    def _enumerate_shell(self, s: int) -> None:
+    def _collect(self, s: int, lo: float, hi: float):
+        """The classes of shell ``s`` with lo < length <= hi, unordered, as
+        blocks of (length, source, dest, translation) arrays."""
         m = self._m
-        horizon = self.max_length
-        k = self._cursor
-        parts = [
-            (self._length[k:], self._source[k:], self._dest[k:], self._translation[k:])
-        ]
         for faces in _shell_faces(self._n, s, self._block_rows):
             # a stacked (1, n) @ (n, n) product rounds each row as the
             # product for one translation does; a (rows, n) @ (n, n)
@@ -215,24 +269,29 @@ class EdgeGenerator:
                 pair_len = row_norms(
                     (self._cart_dst + shift[:, None, :]) - self._cart_src
                 )
-                t, p = np.nonzero(pair_len <= horizon)
-                parts.append(
-                    (pair_len[t, p], self._pair_src[p], self._pair_dst[p], faces[t])
-                )
+                t, p = np.nonzero((pair_len > lo) & (pair_len <= hi))
+                yield pair_len[t, p], self._pair_src[p], self._pair_dst[p], faces[t]
             if s > 0:
                 self_len = row_norms(shift)
-                (t,) = np.nonzero(_lex_positive_rows(faces) & (self_len <= horizon))
-                points = np.tile(np.arange(m, dtype=np.int32), len(t))
-                parts.append(
-                    (
-                        np.repeat(self_len[t], m),
-                        points,
-                        points,
-                        np.repeat(faces[t], m, axis=0),
-                    )
+                (t,) = np.nonzero(
+                    _lex_positive_rows(faces) & (self_len > lo) & (self_len <= hi)
                 )
-        length, source, dest, translation = (np.concatenate(c) for c in zip(*parts))
-        order = np.lexsort((*translation.T[::-1], dest, source, length))
+                points = np.tile(np.arange(m, dtype=np.int32), len(t))
+                yield (
+                    np.repeat(self_len[t], m),
+                    points,
+                    points,
+                    np.repeat(faces[t], m, axis=0),
+                )
+
+    def _merge(self, parts) -> None:
+        """Put the unread rest of the buffer and ``parts`` in yield order."""
+        k = self._cursor
+        rest = (self._length[k:], self._source[k:], self._dest[k:], self._translation[k:])
+        length, source, dest, translation = (
+            np.concatenate(c) for c in zip(rest, *parts)
+        )
+        order = _yield_order(length, source, dest, translation)
         self._length = length[order]
         self._source = source[order]
         self._dest = dest[order]

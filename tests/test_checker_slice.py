@@ -5,7 +5,9 @@ which enumerates edge classes, joins motif classes with its own union-find
 and tests the cycle span with SymPy's Smith normal form; it shares no code
 with the program.  Here it checks every 4th structure of each seed-101
 corpus: molecular and random motifs, slabs, needles, shears, 4-8-D root
-lattices with their many exact ties, and CIF files with symmetry.
+lattices with their many exact ties, and CIF files with symmetry.  It also
+pins the driver's path over the slice: the summed shells enumerated and
+edges examined, which any change to the edge stream must leave alone.
 """
 
 from pathlib import Path
@@ -19,6 +21,13 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 101
 STRIDE = 4
 
+#: Sums of ``shells_enumerated`` and ``edges_examined`` over each slice.
+DRIVER_PATH = {
+    "dense-motif": (60, 5489),
+    "many-cells": (112, 796),
+    "cif-batch": (120, 6952),
+}
+
 
 @pytest.fixture
 def bench_run(monkeypatch):
@@ -31,6 +40,7 @@ def bench_run(monkeypatch):
 @pytest.mark.parametrize("workload", ["dense-motif", "many-cells", "cif-batch"])
 def test_checker_accepts_every_beta_of_the_slice(bench_run, workload):
     problems = []
+    shells = examined = 0
     for case in bench_run.corpus.make(workload, SEED)[::STRIDE]:
         if workload == "cif-batch":
             pset = bridgelen.to_periodic_set(bridgelen.parse_cif(case.text))
@@ -38,8 +48,12 @@ def test_checker_accepts_every_beta_of_the_slice(bench_run, workload):
             pset = bridgelen.PeriodicSet(
                 bridgelen.LatticeBasis(case.basis), bridgelen.Motif(case.frac)
             )
-        beta = bridgelen.bridge_length(pset).beta
+        report = bridgelen.bridge_length(pset)
+        beta = report.beta
+        shells += report.shells_enumerated
+        examined += report.edges_examined
         problem = bench_run.check_case(case, beta, pset.motif_size)
         if problem:
             problems.append(f"{case.name}: beta {beta!r}: {problem}")
     assert problems == []
+    assert (shells, examined) == DRIVER_PATH[workload]

@@ -285,3 +285,134 @@ class TestCapsAndHorizons:
         assert gen.pending == ()
         next(gen)  # the first edge enumerates shells 0 and 1
         assert gen.shells_enumerated == 2
+
+    def test_nan_horizon_is_refused(self, z3):
+        # ``bound > nan`` is never true, so a NaN horizon would build empty
+        # shells for ever
+        with pytest.raises(ValueError, match="NaN"):
+            EdgeGenerator(z3, max_length=float("nan"))
+
+
+def brute_force_upto(pset: PeriodicSet, limit: float):
+    """Every canonical class no longer than ``limit``, in yield order.
+
+    Runs of lengths within 1e-12 (relative) of each other count as exact
+    ties: the oracle's own rounding may split a tie the stream computes
+    exactly (a self-edge is (c + shift) - c here, shift there)."""
+    h = cell_metrics(pset.basis).h
+    classes = brute_force_classes(pset, math.floor(limit / h) + 2)
+    snapped, run = [], None
+    for length, s, d, t in classes:
+        if run is None or length - run > 1e-12 * run:
+            run = length
+        if length <= limit:
+            snapped.append((run, s, d, t, length))
+    return [(length, s, d, t) for _, s, d, t, length in sorted(snapped)]
+
+
+def gap_after(pset: PeriodicSet, k: int) -> float:
+    """A length halfway across the first clear gap after the k-th class."""
+    classes = brute_force_prefix(pset, 3 * k)
+    for a, b in zip(classes[k:], classes[k + 1 :]):
+        if b[0] - a[0] > 1e-9 * a[0]:
+            return (a[0] + b[0]) / 2
+    raise AssertionError("no gap between classes")
+
+
+def symmetric_set(rng: np.random.Generator, n: int) -> PeriodicSet:
+    """Up to 12 points of the {0, 1/4, 1/2, 3/4}^n grid in a cell with
+    edges 1 or 3/2: every coordinate and length square is a dyadic
+    fraction, so symmetric pairs tie exactly."""
+    grid = np.array(list(itertools.product([0.0, 0.25, 0.5, 0.75], repeat=n)))
+    m = int(rng.integers(1, min(12, len(grid)) + 1))
+    motif = grid[rng.choice(len(grid), size=m, replace=False)]
+    basis = np.diag(rng.choice([1.0, 1.5], size=n))
+    return PeriodicSet(LatticeBasis(basis), Motif(motif))
+
+
+def cubic_set(motif) -> PeriodicSet:
+    return PeriodicSet(LatticeBasis(np.eye(3)), Motif(motif))
+
+
+FCC = cubic_set([[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0.5]])
+CUBE_8 = cubic_set(list(itertools.product([0.0, 0.5], repeat=3)))
+
+
+class TestWorkingHorizon:
+    """The working horizon grows in bands; the stream must not show it."""
+
+    def band_cases(self):
+        rng = np.random.default_rng(48)
+        cases = []
+        for _ in range(24):
+            n = int(rng.integers(1, 4))
+            cases.append(random_set(rng, n=n, m=int(rng.integers(1, 13))))
+            cases.append(symmetric_set(rng, n))
+        return cases
+
+    def test_many_bands_yield_the_single_band_stream(self, monkeypatch):
+        # a start of 1e-3 (vol/m)^(1/n) crosses ten bands before the first
+        # edge; an infinite start is one band up to max_length.  Edge for
+        # edge, and shell for shell before each edge, the streams agree
+        cases = self.band_cases()
+        streams = {}
+        for start in (1e-3, math.inf):
+            monkeypatch.setattr(edges_module, "_START_FACTOR", start)
+            streams[start] = []
+            for pset in cases:
+                gen = EdgeGenerator(pset)
+                steps = [(e, gen.shells_enumerated) for e in gen]
+                streams[start].append((steps, gen.shells_enumerated))
+        for banded, single in zip(streams[1e-3], streams[math.inf]):
+            assert banded == single
+            keys = [(e.source, e.dest, e.translation) for e, _ in banded[0]]
+            assert len(set(keys)) == len(keys)
+
+    def test_many_bands_match_brute_force_in_exact_order(self, monkeypatch):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", 1e-3)
+        for pset in self.band_cases():
+            limit = gap_after(pset, 30)
+            got = list(EdgeGenerator(pset, max_length=limit))
+            expected = brute_force_upto(pset, limit)
+            assert [(e.source, e.dest, e.translation) for e in got] == [
+                (s, d, t) for _, s, d, t in expected
+            ]
+            assert [e.length for e in got] == pytest.approx(
+                [c[0] for c in expected], rel=1e-12
+            )
+
+    def test_edges_exactly_at_band_edges(self, monkeypatch, z2):
+        # with a start of 2^-10 the bands of Z^2 end at exactly 1, 2 and 4,
+        # where edges lie: (lo, hi] must keep each in one band
+        monkeypatch.setattr(edges_module, "_START_FACTOR", 2.0**-10)
+        gen = EdgeGenerator(z2, max_length=4.0)
+        got = [(e.length, e.source, e.dest, e.translation) for e in gen]
+        assert gen._horizon == 4.0
+        assert {1.0, 2.0, 4.0} <= {length for length, *_ in got}
+        assert got == brute_force_upto(z2, 4.0)
+        monkeypatch.setattr(edges_module, "_START_FACTOR", math.inf)
+        single = EdgeGenerator(z2, max_length=4.0)
+        assert got == [(e.length, e.source, e.dest, e.translation) for e in single]
+
+    @pytest.mark.parametrize("pset", [FCC, CUBE_8], ids=["fcc", "cube-8"])
+    @pytest.mark.parametrize("start", [1e-3, 2.0])
+    def test_ties_come_out_in_full_key_order(self, monkeypatch, pset, start):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", start)
+        got = list(EdgeGenerator(pset, max_length=2.0))
+        lengths = [e.length for e in got]
+        assert len(set(lengths)) * 4 < len(lengths)  # mostly ties
+        assert got == sorted(got)
+        assert len(got) == len(brute_force_upto(pset, 2.0))
+
+    def test_tie_only_order_is_the_full_key_sort(self):
+        # integer lengths make long runs of ties; repeated full keys must
+        # keep their input order, as in a stable sort
+        rng = np.random.default_rng(49)
+        for rows in (0, 1, 2, 50, 3000):
+            length = rng.integers(0, 12, size=rows).astype(float)
+            source = rng.integers(0, 3, size=rows).astype(np.int32)
+            dest = rng.integers(0, 3, size=rows).astype(np.int32)
+            translation = rng.integers(-2, 3, size=(rows, 3)).astype(np.int32)
+            full = np.lexsort((*translation.T[::-1], dest, source, length))
+            order = edges_module._yield_order(length, source, dest, translation)
+            assert np.array_equal(order, full)
