@@ -9,17 +9,27 @@ by ``translation``.  Canonical orientation: ``source < dest``, or
 self-pair is never emitted.
 
 Candidates are enumerated one supercell shell at a time (all cells at a
-fixed L-infinity distance).  A shell is built straight from its faces, in
-blocks of translations; each block gives the lengths of all its motif
-pairs in one numpy expression and keeps only those inside a length band
-(lo, hi] at once.  The buffer is a set of parallel arrays (length, source,
-dest, translation): after each shell the unread rest and the new
-candidates are put in yield order and a cursor walks them, so a
-:class:`CandidateEdge` is built only for an edge that is yielded.  The
-order is one stable ``np.argsort`` of the lengths; the full key is sorted
-only on the rows inside runs of equal length.  A buffered edge of length
-L is released only when L is strictly below the *height-projected* lower
-bound on every edge reaching any un-enumerated shell:
+fixed L-infinity distance), and lengths are computed only where they can
+fall in the band (lo, hi] being collected.  The edge x = (f_j - f_i + t) B
+of motif pair (i, j), f being fractional coordinates, has |x| >= |f_jk -
+f_ik + t_k| h_k on every axis k, h_k being the cell height over facet k.
+So a class no longer than hi has its translation in an integer *box*,
+t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta = f_j - f_i
+and r_k = hi / h_k, widened slightly against rounding; the self class is
+the pair with Delta = 0.  The boxes are computed once per band, and the
+pairs whose box is empty are dropped.  A shell is built only where it
+meets a live pair's box: split by leading axis, each piece clipped to the
+box is a mixed-radix range, decoded in blocks of (translation, pair) rows.
+Each block gives its lengths in one numpy expression, the same for every
+row, and keeps those inside the band.  The buffer is a set of parallel
+arrays (length, source, dest, translation): after each shell the unread
+rest and the new candidates are put in yield order and a cursor walks
+them, so a :class:`CandidateEdge` is built only for an edge that is
+yielded.  The order is one stable ``np.argsort`` of the lengths; the full
+key is sorted only on the rows inside runs of equal length.  A buffered
+edge of length L is released only when L is strictly below the
+*height-projected* lower bound on every edge reaching any un-enumerated
+shell:
 
     bound(sigma) = min_i [ alpha_i + beta_i + (sigma - 1) * h_i ]
 
@@ -41,12 +51,12 @@ the edge of a cube holding one motif point, 2 (vol / m)^(1/n), capped at
 ``max_length``.  Shells are built keeping only the edges up to H.  When
 the release bound passes H with the buffer empty, H doubles (again capped
 at ``max_length``) and the shells already built are scanned once more for
-the band (H_old, H_new] alone.  Every length is computed by the same
-expression in every pass, so each class falls in exactly one band, and
-the edges up to H are a prefix of the whole stream: the yield order, and
-the shells built before each yield, are those of a single band up to
-``max_length``.  A consumer that stops after an edge of length L has had
-only the edges up to max(H_0, 2 L) buffered and sorted.
+the band (H_old, H_new] alone, within the boxes for H_new.  Every length
+is computed by the same expression in every pass, so each class falls in
+exactly one band, and the edges up to H are a prefix of the whole stream:
+the yield order, and the shells built before each yield, are those of a
+single band up to ``max_length``.  A consumer that stops after an edge of
+length L has had only the edges up to max(H_0, 2 L) buffered and sorted.
 
 A generator is single-owner mutable state; distinct generators are
 independent.
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -66,11 +77,20 @@ from .geometry import PeriodicSet, cell_metrics, row_norms
 #: at the bound survives float rounding.
 _HORIZON_SLACK = 1e-9
 
-#: Most rows one block of a shell builds: face translations per block, and
-#: translations x motif pairs per block (a block holds at least one
-#: translation).  Working memory is bounded per block, not per shell:
-#: shell 3 in 8-D alone has 5.4 million faces.
+#: Most (translation, pair) rows one block of a shell builds (a block holds
+#: at least one translation).  Working memory is bounded per block, not
+#: per shell: shell 3 in 8-D alone has 5.4 million translations.
 _BLOCK = 1 << 12
+
+#: Relative widening of the translation boxes, against the rounding of the
+#: fractional coordinates, the cell heights and the length expression
+#: (see ``EdgeGenerator._set_boxes``).
+_BOX_SLACK = 1e-9
+
+#: Box half-widths are capped at this many cells, so that an unbounded
+#: horizon still gives finite int32 bounds; no stream builds that many
+#: shells.
+_BOX_CAP = float(1 << 30)
 
 #: The working horizon starts at this multiple of (vol / m)^(1/n), the edge
 #: of a cube holding one motif point on average ...
@@ -94,31 +114,102 @@ class CandidateEdge:
     translation: tuple[int, ...]
 
 
-def _shell_faces(n: int, s: int, block: int):
-    """Integer vectors of L-infinity norm exactly ``s``, in blocks of at
-    most ``block`` rows (int32, one column per dimension).
+def _decode(index, radix, offset, scale) -> np.ndarray:
+    """Mixed-radix digits of ``index`` mapped to translations.
+
+    ``radix``, ``offset`` and ``scale`` hold one entry per axis, either
+    once for every row, shape (n,), or once per row, shape (rows, n);
+    coordinate j is ``offset_j + digit_j * scale_j``.
+    """
+    n = radix.shape[-1]
+    digits = np.empty((len(index), n), dtype=np.int32)
+    for j in range(n - 1, -1, -1):
+        index, digits[:, j] = np.divmod(index, radix[..., j])
+    return digits * scale + offset
+
+
+@lru_cache(maxsize=256)
+def _pieces(n: int, s: int):
+    """The pieces of shell ``s`` > 0: row k of ``first``, ``last``,
+    ``radix`` and ``scale`` decodes the piece led by axis k, of ``size[k]``
+    vectors."""
+    first = np.where(np.tri(n, k=-1, dtype=bool), 1 - s, -s).astype(np.int32)
+    radix = 1 - 2 * first
+    radix[np.arange(n), np.arange(n)] = 2
+    scale = (1 + (2 * s - 1) * np.eye(n)).astype(np.int32)
+    size = np.array([math.prod(r) for r in radix.tolist()], dtype=np.int64)
+    last = -first
+    for a in (first, last, radix, scale, size):
+        a.setflags(write=False)
+    return first, last, radix, scale, size
+
+
+def _shell_blocks(lo: np.ndarray, up: np.ndarray, s: int, block: int):
+    """The integer vectors of L-infinity norm exactly ``s`` inside boxes
+    ``lo[b] <= t <= up[b]`` (int32, one row per box), in blocks.
+
+    Yields ``(t, owner)``: ``t`` is an int32 block of translations, and
+    ``owner`` names boxes holding them, with a shape that broadcasts
+    against ``t``'s rows: (rows, 1), the one box of each row, or (1, w),
+    boxes that each hold every row.  A block has at most ``block`` rows x
+    owners, or a single row.
 
     For s > 0 the shell splits by its leading axis k, the first with
     |t_k| = s: entries before k lie in [-(s-1), s-1], t_k = -s or s, and
-    entries after k lie in [-s, s].  Each piece is a mixed-radix range
-    decoded one block at a time, so every vector comes once,
-    (2s+1)^n - (2s-1)^n in all, and no (2s+1)^n grid is built.
+    entries after k lie in [-s, s].  Clipped to a box, a piece is still a
+    product of ranges, so it is a mixed-radix range.  A range of at least
+    a quarter block is decoded with one radix per axis, and so costs what
+    a face decode does: a whole piece once for all the boxes that hold it
+    (every box, in a lattice or for an unbounded box), or one box's part
+    of a piece.  The smaller ranges are decoded together, each row with
+    its own box's radices, so a shell of small boxes is one block.  Every
+    vector of a box comes once, and no (2s+1)^n grid is built.
     """
+    n = lo.shape[1]
     if s == 0:
-        yield np.zeros((1, n), dtype=np.int32)
+        (owner,) = np.nonzero((lo <= 0).all(axis=1) & (up >= 0).all(axis=1))
+        if len(owner):
+            yield np.zeros((1, n), dtype=np.int32), owner[None, :]
         return
-    for k in range(n):
-        radix = [2 * s - 1] * k + [2] + [2 * s + 1] * (n - 1 - k)
-        scale = np.ones(n, dtype=np.int32)
-        scale[k] = 2 * s
-        offset = np.array([1 - s] * k + [-s] * (n - k), dtype=np.int32)
-        count = math.prod(radix)
-        for start in range(0, count, block):
-            index = np.arange(start, min(start + block, count))
-            digits = np.empty((len(index), n), dtype=np.int32)
-            for j in range(n - 1, -1, -1):
-                index, digits[:, j] = np.divmod(index, radix[j])
-            yield digits * scale + offset
+    first, last, piece_radix, scale, piece = _pieces(n, s)
+    # (piece, box, axis) arrays: each box clipped to each piece
+    offset = np.maximum(lo, first[:, None])
+    radix = np.maximum(np.minimum(up, last[:, None]) - offset + 1, 0)
+    # a leading axis holds -s, s or both: digits 0 and 1 of radix 2
+    low = (lo <= -s) & (up >= -s)
+    high = (lo <= s) & (up >= s)
+    axis = np.arange(n)
+    radix[axis, :, axis] = np.add(low, high, dtype=np.int32).T
+    offset[axis, :, axis] = np.where(low, -s, s).T
+    count = radix.prod(axis=2, dtype=np.int64)
+    big = count >= max(1, block // 4)
+    for k in np.nonzero(big.any(axis=1))[0].tolist():
+        # the boxes holding all of piece k share one decode
+        whole = big[k] & (count[k] == piece[k])
+        groups = [
+            (np.array([b]), radix[k, b], offset[k, b], int(count[k, b]))
+            for b in np.nonzero(big[k] & ~whole)[0]
+        ]
+        if whole.any():
+            owner = np.nonzero(whole)[0]
+            groups.append((owner, piece_radix[k], first[k], int(piece[k])))
+        for owner, rad, off, size in groups:
+            rows = max(1, block // len(owner))
+            for start in range(0, size, rows):
+                index = np.arange(start, min(start + rows, size))
+                yield _decode(index, rad, off, scale[k]), owner[None, :]
+    k, box = np.nonzero((count > 0) & ~big)
+    if len(box):
+        # one row per (piece, box) range, and the first index of each
+        rad, off, sc = radix[k, box], offset[k, box], scale[k]
+        end = np.cumsum(count[k, box])
+        first_index = end - count[k, box]
+        for start in range(0, int(end[-1]), block):
+            index = np.arange(start, min(start + block, int(end[-1])))
+            q = np.searchsorted(end, index, side="right")
+            local = index - first_index[q]
+            t = _decode(local, rad.take(q, 0), off.take(q, 0), sc.take(q, 0))
+            yield t, box[q][:, None]
 
 
 def _lex_positive_rows(t: np.ndarray) -> np.ndarray:
@@ -183,12 +274,19 @@ class EdgeGenerator:
         self.max_length = max_length
         cube = (self.metrics.vol / self._m) ** (1.0 / self._n)
         self._horizon = min(max_length, _START_FACTOR * cube)
+        # motif pairs i < j, then the self class as one more pair, from an
+        # extra zero point to itself: its length expression (0 + shift) - 0
+        # is the shift exactly
         pair_src, pair_dst = np.triu_indices(self._m, k=1)
-        self._pair_src = pair_src.astype(np.int32)
-        self._pair_dst = pair_dst.astype(np.int32)
-        self._cart_src = cart[pair_src]
-        self._cart_dst = cart[pair_dst]
-        self._block_rows = max(1, _BLOCK // max(len(pair_src), 1))
+        self._self_pair = len(pair_src)
+        self._pair_src = np.append(pair_src, self._m).astype(np.int32)
+        self._pair_dst = np.append(pair_dst, self._m).astype(np.int32)
+        zero = np.zeros((1, self._n))
+        self._frac = np.concatenate([frac, zero])
+        cart = np.concatenate([cart, zero])
+        self._cart_src = cart[self._pair_src]
+        self._cart_dst = cart[self._pair_dst]
+        self._box_horizon = None
         # the buffer, in yield order from the cursor on
         self._length = np.empty(0)
         self._source = np.empty(0, dtype=np.int32)
@@ -255,34 +353,94 @@ class EdgeGenerator:
             else:
                 raise StopIteration
 
+    def _set_boxes(self, hi: float) -> None:
+        """Give every pair, the self class (the last pair, Delta = 0)
+        included, the box of translations that can bring it within ``hi``,
+        and drop the pairs whose box is empty.
+
+        The edge x = (f_j - f_i + t) B of pair (i, j) has |x| >= |f_jk -
+        f_ik + t_k| h_k on every axis k, h_k being the cell height over
+        facet k, so a class no longer than hi has t_k in [-r_k - Delta_k,
+        r_k - Delta_k] with Delta = f_j - f_i and r_k = hi / h_k.  The
+        computed length rounds (c_j + tB) - c_i, c being Cartesian motif
+        points, so it can fall below |x| by a few ulps of |c_j| + |tB| +
+        |c_i| <= |x| + 2 (|c_j| + |c_i|).  So r_k is widened by _BOX_SLACK
+        relative to hi plus n b, b the longest basis vector, which bounds
+        every |c|; the relative part also covers the rounding of the
+        heights and of Delta.
+        """
+        reach = hi * (1.0 + _BOX_SLACK) + _BOX_SLACK * self._n * self.metrics.b
+        # python floats: an infinite or huge horizon gives no warning
+        radius = np.array([min(reach / h, _BOX_CAP) for h in self.metrics.heights])
+        # a block of pairs at a time, so no (pairs, n) float array is held
+        lo = np.empty((len(self._pair_src), self._n), dtype=np.int32)
+        up = np.empty_like(lo)
+        for start in range(0, len(lo), _BLOCK):
+            part = slice(start, start + _BLOCK)
+            delta = self._frac[self._pair_dst[part]] - self._frac[self._pair_src[part]]
+            lo[part] = np.ceil(-radius - delta)
+            up[part] = np.floor(radius - delta)
+        (self._live,) = np.nonzero((lo <= up).all(axis=1))
+        lo, up = lo[self._live], up[self._live]
+        self._box_lo, self._box_up = lo, up
+        # a box meets shell s iff near <= s <= far
+        self._box_near = np.maximum(lo, -up).max(axis=1)
+        self._box_far = np.maximum(-lo, up).max(axis=1)
+        # the self class (the last pair) has no class in shell 0
+        self._box_near[-1] = 1
+        self._reach = int(self._box_far.max())
+        self._box_horizon = hi
+
     def _collect(self, s: int, lo: float, hi: float):
         """The classes of shell ``s`` with lo < length <= hi, unordered, as
-        blocks of (length, source, dest, translation) arrays."""
-        m = self._m
-        for faces in _shell_faces(self._n, s, self._block_rows):
+        blocks of (length, source, dest, translation) arrays.  Lengths are
+        computed only for the translations in each pair's box."""
+        if hi != self._box_horizon:
+            self._set_boxes(hi)
+        if s > self._reach:
+            return
+        (hit,) = np.nonzero((self._box_near <= s) & (self._box_far >= s))
+        if len(hit) == 0:
+            return
+        live = self._live[hit]
+        for t, owner in _shell_blocks(self._box_lo[hit], self._box_up[hit], s, _BLOCK):
+            pair = live[owner]
             # a stacked (1, n) @ (n, n) product rounds each row as the
             # product for one translation does; a (rows, n) @ (n, n)
             # product rounds differently for n >= 4, which would make
             # lengths depend on the block size
-            shift = (faces[:, None, :].astype(float) @ self._basis)[:, 0, :]
-            if m > 1:
-                pair_len = row_norms(
-                    (self._cart_dst + shift[:, None, :]) - self._cart_src
+            shift = t[:, None, :].astype(float) @ self._basis
+            own = pair == self._self_pair
+            if own.all():
+                # the self class alone, as in a lattice: lengths are |tB|
+                length = row_norms(shift[:, 0])
+                (row,) = np.nonzero(
+                    _lex_positive_rows(t) & (length > lo) & (length <= hi)
                 )
-                t, p = np.nonzero((pair_len > lo) & (pair_len <= hi))
-                yield pair_len[t, p], self._pair_src[p], self._pair_dst[p], faces[t]
-            if s > 0:
-                self_len = row_norms(shift)
-                (t,) = np.nonzero(
-                    _lex_positive_rows(faces) & (self_len > lo) & (self_len <= hi)
-                )
-                points = np.tile(np.arange(m, dtype=np.int32), len(t))
-                yield (
-                    np.repeat(self_len[t], m),
-                    points,
-                    points,
-                    np.repeat(faces[t], m, axis=0),
-                )
+                yield self._self_rows(length[row], t[row])
+                continue
+            length = row_norms(
+                (self._cart_dst.take(pair, 0) + shift) - self._cart_src.take(pair, 0)
+            )
+            keep = (length > lo) & (length <= hi)
+            if own.any():
+                keep &= ~own | _lex_positive_rows(t)[:, None]
+            row, col = np.nonzero(keep)
+            pair = pair[0, col] if pair.shape[0] == 1 else pair[row, 0]
+            length, t = length[row, col], t[row]
+            own = pair == self._self_pair
+            if own.any():
+                yield self._self_rows(length[own], t[own])
+                keep = ~own
+                length, pair, t = length[keep], pair[keep], t[keep]
+            yield length, self._pair_src[pair], self._pair_dst[pair], t
+
+    def _self_rows(self, length: np.ndarray, t: np.ndarray):
+        """Self-class rows: each translation t, from every motif point to
+        its own image."""
+        m = self._m
+        points = np.tile(np.arange(m, dtype=np.int32), len(t))
+        return np.repeat(length, m), points, points, np.repeat(t, m, axis=0)
 
     def _merge(self, parts) -> None:
         """Put the unread rest of the buffer and ``parts`` in yield order."""

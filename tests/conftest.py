@@ -1,5 +1,6 @@
 """Shared fixtures and random-set generation for the test suite."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,14 @@ def fig2_set():
         [0.6, 0.6],
     ]
     return make_set([[5.0, 0.0], [0.0, 5.0]], frac)
+
+
+def slab_19() -> PeriodicSet:
+    """A fixed 19-point slab of aspect 6.6 that takes three shells."""
+    i = np.arange(19)
+    golden = (math.sqrt(5) - 1) / 2
+    frac = np.column_stack([(i + 0.5) / 19, (i * golden) % 1.0, (i * 0.29) % 1.0])
+    return make_set([[7.0, 0.0, 0.0], [0.4, 7.3, 0.0], [0.3, -0.2, 1.1]], frac)
 
 
 def random_basis(rng: np.random.Generator, n: int, max_aspect: float = 2.5):

@@ -2,26 +2,16 @@
 looks up by name.  Constructing it resolves every one of them, so renaming
 a traced name fails here instead of breaking the traced benchmark run."""
 
-import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bridgelen
 import bridgelen.cli  # noqa: F401  (the tracer scans every loaded module)
 
-from conftest import make_set
+from conftest import slab_19
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def slab_19():
-    """A fixed 19-point slab of aspect 6.6 that takes three shells."""
-    i = np.arange(19)
-    golden = (math.sqrt(5) - 1) / 2
-    frac = np.column_stack([(i + 0.5) / 19, (i * golden) % 1.0, (i * 0.29) % 1.0])
-    return make_set([[7.0, 0.0, 0.0], [0.4, 7.3, 0.0], [0.3, -0.2, 1.1]], frac)
 
 
 @pytest.fixture

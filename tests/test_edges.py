@@ -11,11 +11,14 @@ from bridgelen import (
     LatticeBasis,
     Motif,
     PeriodicSet,
+    bridge_length,
     cell_metrics,
 )
+from bridgelen import bridge as bridge_module
 from bridgelen import edges as edges_module
+from bridgelen.geometry import row_norms
 
-from conftest import random_set
+from conftest import make_set, random_basis, random_motif, random_set, slab_19
 
 
 def lex_positive(t):
@@ -202,12 +205,20 @@ def face_cases():
     return cases + [(n, 3) for n in range(1, 6)]
 
 
+def unbounded_box(n):
+    big = np.full((1, n), 2**30, dtype=np.int32)
+    return -big, big
+
+
 class TestShellFaces:
+    """One unbounded box: the blocks are the whole shell, all in box 0."""
+
     @pytest.mark.parametrize("n, s", face_cases())
     def test_each_vector_of_norm_s_once(self, n, s):
-        faces = np.concatenate(
-            list(edges_module._shell_faces(n, s, edges_module._BLOCK))
-        )
+        box = unbounded_box(n)
+        blocks = list(edges_module._shell_blocks(*box, s, edges_module._BLOCK))
+        assert all((b == 0).all() and b.size in (1, len(t)) for t, b in blocks)
+        faces = np.concatenate([t for t, _ in blocks])
         assert faces.dtype == np.int32 and faces.shape[1] == n
         assert len(faces) == (2 * s + 1) ** n - max(2 * s - 1, 0) ** n
         assert (np.abs(faces).max(axis=1) == s).all()
@@ -217,10 +228,11 @@ class TestShellFaces:
 
     @pytest.mark.parametrize("n, s", [(1, 2), (3, 1), (4, 2), (6, 1)])
     def test_blocks_split_the_same_sequence(self, n, s):
-        whole = np.concatenate(list(edges_module._shell_faces(n, s, 10**6)))
-        blocks = list(edges_module._shell_faces(n, s, 7))
+        box = unbounded_box(n)
+        whole = [t for t, _ in edges_module._shell_blocks(*box, s, 10**6)]
+        blocks = [t for t, _ in edges_module._shell_blocks(*box, s, 7)]
         assert all(1 <= len(b) <= 7 for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), whole)
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(whole))
 
     @pytest.mark.parametrize("block", [1, 4, 42])
     def test_stream_does_not_depend_on_block_size(self, monkeypatch, block):
@@ -238,6 +250,38 @@ class TestShellFaces:
         for pset, want in zip(psets, expected):
             gen = EdgeGenerator(pset, max_length=math.inf)
             assert (take(gen, 150), gen.pending) == want
+
+
+class TestShellBlocksInBoxes:
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    def test_each_vector_of_each_box_once(self, block):
+        # random boxes, some holding whole pieces, some a part, some
+        # missing the shell; big and small ranges, alone and shared
+        rng = np.random.default_rng(60)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            s = int(rng.integers(0, 4))
+            lo = rng.integers(-5, 2, size=(int(rng.integers(1, 6)), n)).astype(np.int32)
+            up = (lo + rng.integers(0, 8, size=lo.shape)).astype(np.int32)
+            got = []
+            for t, owner in edges_module._shell_blocks(lo, up, s, block):
+                assert owner.shape[0] == 1 or owner.shape == (len(t), 1)
+                assert len(t) == 1 or len(t) * owner.shape[1] <= block
+                rows, boxes = np.broadcast_arrays(np.arange(len(t))[:, None], owner)
+                for r, b in zip(rows.ravel(), boxes.ravel()):
+                    got.append((int(b), tuple(t[r].tolist())))
+            expected = [
+                (b, v)
+                for b in range(len(lo))
+                for v in itertools.product(*map(range, lo[b], up[b] + 1))
+                if max(map(abs, v), default=0) == s
+            ]
+            assert sorted(got) == sorted(expected)
+
+    @pytest.mark.parametrize("s", [0, 2])
+    def test_no_boxes(self, s):
+        none = np.empty((0, 3), dtype=np.int32)
+        assert list(edges_module._shell_blocks(none, none, s, 4096)) == []
 
 
 class TestCapsAndHorizons:
@@ -416,3 +460,187 @@ class TestWorkingHorizon:
             full = np.lexsort((*translation.T[::-1], dest, source, length))
             order = edges_module._yield_order(length, source, dest, translation)
             assert np.array_equal(order, full)
+
+
+def old_shell_faces(n: int, s: int, block: int = 4096):
+    """The face enumeration the pair-box kernel replaced: the vectors of
+    L-infinity norm exactly s, split by leading axis, in blocks."""
+    if s == 0:
+        yield np.zeros((1, n), dtype=np.int32)
+        return
+    for k in range(n):
+        radix = [2 * s - 1] * k + [2] + [2 * s + 1] * (n - 1 - k)
+        scale = np.ones(n, dtype=np.int32)
+        scale[k] = 2 * s
+        offset = np.array([1 - s] * k + [-s] * (n - k), dtype=np.int32)
+        count = math.prod(radix)
+        for start in range(0, count, block):
+            index = np.arange(start, min(start + block, count))
+            digits = np.empty((len(index), n), dtype=np.int32)
+            for j in range(n - 1, -1, -1):
+                index, digits[:, j] = np.divmod(index, radix[j])
+            yield digits * scale + offset
+
+
+def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float) -> set:
+    """Oracle: the all-pairs shell kernel the pair boxes replaced.  Every
+    motif pair at every translation of shell s, with the same length
+    expression, kept if lo < length <= hi; a set of (length, source, dest,
+    translation)."""
+    cart = pset.cartesian_motif
+    m = pset.motif_size
+    src, dst = np.triu_indices(m, k=1)
+    out = set()
+    for faces in old_shell_faces(pset.dim, s):
+        shift = (faces[:, None, :].astype(float) @ pset.basis.vectors)[:, 0, :]
+        pair_len = row_norms((cart[dst] + shift[:, None, :]) - cart[src])
+        for t, p in zip(*np.nonzero((pair_len > lo) & (pair_len <= hi))):
+            t_key = tuple(faces[t].tolist())
+            out.add((float(pair_len[t, p]), int(src[p]), int(dst[p]), t_key))
+        if s > 0:
+            self_len = row_norms(shift)
+            keep = (self_len > lo) & (self_len <= hi)
+            for t in np.nonzero(edges_module._lex_positive_rows(faces) & keep)[0]:
+                t_key = tuple(faces[t].tolist())
+                out |= {(float(self_len[t]), i, i, t_key) for i in range(m)}
+    return out
+
+
+def checked_stream(pset: PeriodicSet, k=None, **kwargs):
+    """Run a stream, to its end or for ``k`` edges, comparing its every
+    ``_collect(s, lo, hi)`` with the all-pairs oracle; return the bands
+    (lo, hi] it collected."""
+    gen = EdgeGenerator(pset, **kwargs)
+    collect = gen._collect
+    bands = set()
+
+    def checked(s, lo, hi):
+        parts = list(collect(s, lo, hi))
+        got = [
+            (length, source, dest, tuple(t))
+            for part in parts
+            for length, source, dest, t in zip(*(c.tolist() for c in part))
+        ]
+        assert len(set(got)) == len(got)
+        assert set(got) == all_pairs_collect(pset, s, lo, hi), (s, lo, hi)
+        bands.add((lo, hi))
+        return parts
+
+    gen._collect = checked
+    list(itertools.islice(gen, k))
+    return bands
+
+
+def sheared_set(rng: np.random.Generator, max_aspect: float) -> PeriodicSet:
+    """A random cell times a random unimodular shear, of aspect up to
+    ``max_aspect``, with up to 6 random points."""
+    n = int(rng.integers(2, 4))
+    while True:
+        shear = np.eye(n)
+        for _ in range(3):
+            i, j = rng.choice(n, size=2, replace=False)
+            step = np.eye(n)
+            step[i, j] = rng.integers(-4, 5)
+            shear = step @ shear
+        basis = LatticeBasis(shear @ random_basis(rng, n).vectors)
+        if 3 <= cell_metrics(basis).aspect <= max_aspect:
+            return PeriodicSet(basis, random_motif(rng, n, int(rng.integers(1, 7))))
+
+
+class TestPairBoxes:
+    """A row the box test drops is never one the length test keeps: every
+    collected band of every built shell equals the all-pairs kernel's."""
+
+    @pytest.mark.parametrize("start", [1e-3, 2.0])
+    def test_random_and_tied_sets(self, monkeypatch, start):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", start)
+        rng = np.random.default_rng(61)
+        most_bands = 0
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 13))
+            for pset in (random_set(rng, n=n, m=m), symmetric_set(rng, n)):
+                most_bands = max(most_bands, len(checked_stream(pset)))
+        assert most_bands >= (10 if start < 1 else 1)
+
+    @pytest.mark.parametrize("start", [1e-3, 2.0])
+    def test_unimodular_shears(self, monkeypatch, start):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", start)
+        rng = np.random.default_rng(62)
+        for _ in range(8):
+            checked_stream(sheared_set(rng, max_aspect=20.0))
+
+    def test_z2_edges_at_band_ends(self, monkeypatch, z2):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", 2.0**-10)
+        bands = checked_stream(z2, max_length=4.0)
+        assert {1.0, 2.0, 4.0} <= {hi for _, hi in bands}
+
+    @pytest.mark.parametrize("name", ["Z", "BCC", "D", "A"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_lattices(self, name, n):
+        checked_stream(lattice_set(name, n), k=20)
+
+    def test_lattices_over_many_bands(self, monkeypatch):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", 1e-3)
+        for name in ("Z", "BCC", "D", "A"):
+            for n in (4, 6):
+                checked_stream(lattice_set(name, n), k=20)
+
+
+class TestWorkBound:
+    """Lengths are computed for little more than the rows kept."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        count = [0]
+
+        def counting(a):
+            out = row_norms(a)
+            count[0] += out.size
+            return out
+
+        monkeypatch.setattr(edges_module, "row_norms", counting)
+        return count
+
+    def test_slab_after_bridge_length(self, monkeypatch, computed):
+        streams = []
+
+        class Recording(EdgeGenerator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+        monkeypatch.setattr(bridge_module, "EdgeGenerator", Recording)
+        report = bridge_length(slab_19())
+        (gen,) = streams
+        kept = report.edges_examined + len(gen.pending)
+        assert computed[0] <= 4 * kept
+
+    def test_random_cube_after_2000_edges(self, computed):
+        rng = np.random.default_rng(63)
+        gen = EdgeGenerator(make_set(np.eye(3) * 15.0, rng.random((300, 3))))
+        take(gen, 2000)
+        assert computed[0] <= 4 * (2000 + len(gen.pending))
+
+
+class TestExtremeHorizons:
+    """Huge or infinite horizons give finite int32 boxes and no float
+    warning (warnings are errors in this suite)."""
+
+    @pytest.mark.parametrize(
+        "start, max_length",
+        [(2.0, 1e308), (2.0, math.inf), (math.inf, 1e308), (math.inf, math.inf)],
+    )
+    def test_first_edges(self, monkeypatch, start, max_length):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", start)
+        skewed = make_set(
+            [[1.0, 0.0, 0.0], [0.9, 0.6, 0.0], [0.3, -0.4, 0.8]],
+            [[0.1, 0.2, 0.3], [0.7, 0.1, 0.5], [0.4, 0.8, 0.9]],
+        )
+        for pset in (make_set(np.eye(3), [[0.0, 0.0, 0.0]]), skewed):
+            got = take(EdgeGenerator(pset, max_length=max_length), 20)
+            assert_prefix_matches(got, brute_force_prefix(pset, 21))
+
+    def test_default_horizon_with_infinite_start(self, monkeypatch, bcc):
+        monkeypatch.setattr(edges_module, "_START_FACTOR", math.inf)
+        assert len(list(EdgeGenerator(bcc))) == len(brute_force_upto(bcc, 1.0))
