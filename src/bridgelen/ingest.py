@@ -11,8 +11,8 @@ The JSON format is a lossless carrier for arbitrary-dimension sets::
 
     {"dim": n, "basis": [[...], ...], "motif_fractional": [[...], ...]}
 
-with numbers written at 17 significant digits so a write/parse round trip
-is bit-identical.
+with every number written as Python's shortest round-trip repr, so a
+write/parse round trip is bit-identical.
 
 All functions are pure; parsing concurrent distinct inputs is safe.
 """
@@ -329,17 +329,13 @@ def to_periodic_set(
     return PeriodicSet(basis, Motif(points))
 
 
-class _Float17(float):
-    def __repr__(self):
-        return format(self, ".17g")
-
-
 def write_json_set(pset: PeriodicSet) -> str:
-    """Serialize losslessly (17 significant digits round-trips float64)."""
+    """Serialize losslessly: json writes each float as its shortest repr
+    that parses back to the same float64."""
     obj = {
         "dim": pset.dim,
-        "basis": [[_Float17(x) for x in row] for row in pset.basis.vectors],
-        "motif_fractional": [[_Float17(x) for x in row] for row in pset.motif.points],
+        "basis": pset.basis.vectors.tolist(),
+        "motif_fractional": pset.motif.points.tolist(),
     }
     return json.dumps(obj)
 

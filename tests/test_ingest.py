@@ -305,6 +305,12 @@ class TestJsonRoundTrip:
         assert parse_json_set(text) == z2
         assert write_json_set(parse_json_set(text)) == text
 
+    def test_numbers_are_written_as_shortest_repr(self):
+        pset = make_set([[0.1]], [[1 / 3]])
+        assert write_json_set(pset) == (
+            '{"dim": 1, "basis": [[0.1]], "motif_fractional": [[0.3333333333333333]]}'
+        )
+
     def test_round_trip_bit_identical_random(self):
         rng = np.random.default_rng(73)
         for _ in range(50):
