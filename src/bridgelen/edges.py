@@ -130,48 +130,41 @@ def _decode(index, radix, offset, scale) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _pieces(n: int, s: int):
-    """The pieces of shell ``s`` > 0: row k of ``first``, ``last``,
-    ``radix`` and ``scale`` decodes the piece led by axis k, of ``size[k]``
-    vectors."""
+    """The pieces of shell ``s`` > 0: row k of ``first``, ``last`` and
+    ``scale`` bounds and decodes the piece led by axis k."""
     first = np.where(np.tri(n, k=-1, dtype=bool), 1 - s, -s).astype(np.int32)
-    radix = 1 - 2 * first
-    radix[np.arange(n), np.arange(n)] = 2
     scale = (1 + (2 * s - 1) * np.eye(n)).astype(np.int32)
-    size = np.array([math.prod(r) for r in radix.tolist()], dtype=np.int64)
     last = -first
-    for a in (first, last, radix, scale, size):
+    for a in (first, last, scale):
         a.setflags(write=False)
-    return first, last, radix, scale, size
+    return first, last, scale
 
 
 def _shell_blocks(lo: np.ndarray, up: np.ndarray, s: int, block: int):
     """The integer vectors of L-infinity norm exactly ``s`` inside boxes
     ``lo[b] <= t <= up[b]`` (int32, one row per box), in blocks.
 
-    Yields ``(t, owner)``: ``t`` is an int32 block of translations, and
-    ``owner`` names boxes holding them, with a shape that broadcasts
-    against ``t``'s rows: (rows, 1), the one box of each row, or (1, w),
-    boxes that each hold every row.  A block has at most ``block`` rows x
-    owners, or a single row.
+    Yields ``(t, box)``: ``t`` is an int32 block of at most ``block``
+    translations, and ``box`` names the box of each row.  Shell 0 is the
+    zero vector of every box that holds it.
 
     For s > 0 the shell splits by its leading axis k, the first with
     |t_k| = s: entries before k lie in [-(s-1), s-1], t_k = -s or s, and
     entries after k lie in [-s, s].  Clipped to a box, a piece is still a
     product of ranges, so it is a mixed-radix range.  A range of at least
     a quarter block is decoded with one radix per axis, and so costs what
-    a face decode does: a whole piece once for all the boxes that hold it
-    (every box, in a lattice or for an unbounded box), or one box's part
-    of a piece.  The smaller ranges are decoded together, each row with
-    its own box's radices, so a shell of small boxes is one block.  Every
-    vector of a box comes once, and no (2s+1)^n grid is built.
+    a face decode does.  The smaller ranges are decoded together, each row
+    with its own box's radices, so a shell of small boxes is one block.
+    Every vector of a box comes once, and no (2s+1)^n grid is built.
     """
     n = lo.shape[1]
     if s == 0:
-        (owner,) = np.nonzero((lo <= 0).all(axis=1) & (up >= 0).all(axis=1))
-        if len(owner):
-            yield np.zeros((1, n), dtype=np.int32), owner[None, :]
+        (box,) = np.nonzero((lo <= 0).all(axis=1) & (up >= 0).all(axis=1))
+        for start in range(0, len(box), block):
+            part = box[start : start + block]
+            yield np.zeros((len(part), n), dtype=np.int32), part
         return
-    first, last, piece_radix, scale, piece = _pieces(n, s)
+    first, last, scale = _pieces(n, s)
     # (piece, box, axis) arrays: each box clipped to each piece
     offset = np.maximum(lo, first[:, None])
     radix = np.maximum(np.minimum(up, last[:, None]) - offset + 1, 0)
@@ -183,21 +176,11 @@ def _shell_blocks(lo: np.ndarray, up: np.ndarray, s: int, block: int):
     offset[axis, :, axis] = np.where(low, -s, s).T
     count = radix.prod(axis=2, dtype=np.int64)
     big = count >= max(1, block // 4)
-    for k in np.nonzero(big.any(axis=1))[0].tolist():
-        # the boxes holding all of piece k share one decode
-        whole = big[k] & (count[k] == piece[k])
-        groups = [
-            (np.array([b]), radix[k, b], offset[k, b], int(count[k, b]))
-            for b in np.nonzero(big[k] & ~whole)[0]
-        ]
-        if whole.any():
-            owner = np.nonzero(whole)[0]
-            groups.append((owner, piece_radix[k], first[k], int(piece[k])))
-        for owner, rad, off, size in groups:
-            rows = max(1, block // len(owner))
-            for start in range(0, size, rows):
-                index = np.arange(start, min(start + rows, size))
-                yield _decode(index, rad, off, scale[k]), owner[None, :]
+    for k, b in zip(*np.nonzero(big)):
+        for start in range(0, int(count[k, b]), block):
+            index = np.arange(start, min(start + block, int(count[k, b])))
+            t = _decode(index, radix[k, b], offset[k, b], scale[k])
+            yield t, np.full(len(t), b)
     k, box = np.nonzero((count > 0) & ~big)
     if len(box):
         # one row per (piece, box) range, and the first index of each
@@ -209,7 +192,7 @@ def _shell_blocks(lo: np.ndarray, up: np.ndarray, s: int, block: int):
             q = np.searchsorted(end, index, side="right")
             local = index - first_index[q]
             t = _decode(local, rad.take(q, 0), off.take(q, 0), sc.take(q, 0))
-            yield t, box[q][:, None]
+            yield t, box[q]
 
 
 def _lex_positive_rows(t: np.ndarray) -> np.ndarray:
@@ -388,7 +371,6 @@ class EdgeGenerator:
         self._box_far = np.maximum(-lo, up).max(axis=1)
         # the self class (the last pair) has no class in shell 0
         self._box_near[-1] = 1
-        self._reach = int(self._box_far.max())
         self._box_horizon = hi
 
     def _collect(self, s: int, lo: float, hi: float):
@@ -397,43 +379,31 @@ class EdgeGenerator:
         computed only for the translations in each pair's box."""
         if hi != self._box_horizon:
             self._set_boxes(hi)
-        if s > self._reach:
-            return
         (hit,) = np.nonzero((self._box_near <= s) & (self._box_far >= s))
         if len(hit) == 0:
             return
         live = self._live[hit]
-        for t, owner in _shell_blocks(self._box_lo[hit], self._box_up[hit], s, _BLOCK):
-            pair = live[owner]
+        for t, box in _shell_blocks(self._box_lo[hit], self._box_up[hit], s, _BLOCK):
+            pair = live[box]
             # a stacked (1, n) @ (n, n) product rounds each row as the
             # product for one translation does; a (rows, n) @ (n, n)
             # product rounds differently for n >= 4, which would make
-            # lengths depend on the block size
-            shift = t[:, None, :].astype(float) @ self._basis
+            # lengths depend on the block size.  Shell 0's is exactly 0.0.
+            shift = 0.0 if s == 0 else (t[:, None, :].astype(float) @ self._basis)[:, 0]
             own = pair == self._self_pair
-            if own.all():
-                # the self class alone, as in a lattice: lengths are |tB|
-                length = row_norms(shift[:, 0])
-                (row,) = np.nonzero(
-                    _lex_positive_rows(t) & (length > lo) & (length <= hi)
+            if own.all():  # the self class alone, as in a lattice: |tB|
+                length = row_norms(shift)
+            else:
+                length = row_norms(
+                    (self._cart_dst.take(pair, 0) + shift) - self._cart_src.take(pair, 0)
                 )
-                yield self._self_rows(length[row], t[row])
-                continue
-            length = row_norms(
-                (self._cart_dst.take(pair, 0) + shift) - self._cart_src.take(pair, 0)
-            )
             keep = (length > lo) & (length <= hi)
             if own.any():
-                keep &= ~own | _lex_positive_rows(t)[:, None]
-            row, col = np.nonzero(keep)
-            pair = pair[0, col] if pair.shape[0] == 1 else pair[row, 0]
-            length, t = length[row, col], t[row]
-            own = pair == self._self_pair
-            if own.any():
-                yield self._self_rows(length[own], t[own])
-                keep = ~own
-                length, pair, t = length[keep], pair[keep], t[keep]
-            yield length, self._pair_src[pair], self._pair_dst[pair], t
+                keep &= ~own | _lex_positive_rows(t)
+                yield self._self_rows(length[keep & own], t[keep & own])
+                keep &= ~own
+            pair = pair[keep]
+            yield length[keep], self._pair_src[pair], self._pair_dst[pair], t[keep]
 
     def _self_rows(self, length: np.ndarray, t: np.ndarray):
         """Self-class rows: each translation t, from every motif point to

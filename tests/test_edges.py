@@ -256,7 +256,7 @@ class TestShellBlocksInBoxes:
     @pytest.mark.parametrize("block", [1, 5, 4096])
     def test_each_vector_of_each_box_once(self, block):
         # random boxes, some holding whole pieces, some a part, some
-        # missing the shell; big and small ranges, alone and shared
+        # missing the shell; big and small ranges, alone and together
         rng = np.random.default_rng(60)
         for _ in range(40):
             n = int(rng.integers(1, 5))
@@ -264,12 +264,10 @@ class TestShellBlocksInBoxes:
             lo = rng.integers(-5, 2, size=(int(rng.integers(1, 6)), n)).astype(np.int32)
             up = (lo + rng.integers(0, 8, size=lo.shape)).astype(np.int32)
             got = []
-            for t, owner in edges_module._shell_blocks(lo, up, s, block):
-                assert owner.shape[0] == 1 or owner.shape == (len(t), 1)
-                assert len(t) == 1 or len(t) * owner.shape[1] <= block
-                rows, boxes = np.broadcast_arrays(np.arange(len(t))[:, None], owner)
-                for r, b in zip(rows.ravel(), boxes.ravel()):
-                    got.append((int(b), tuple(t[r].tolist())))
+            for t, box in edges_module._shell_blocks(lo, up, s, block):
+                assert box.shape == (len(t),)
+                assert 1 <= len(t) <= block
+                got += zip(box.tolist(), map(tuple, t.tolist()))
             expected = [
                 (b, v)
                 for b in range(len(lo))
