@@ -38,9 +38,12 @@ shortest motif-to-face distances measured along that height direction.
 Crossing from the central cell into shell sigma advances at least
 (sigma - 1) full heights plus the exit and entry legs in some direction,
 so the bound is exact for rectangular cells and safe for skewed ones.
-This is what makes the stream provably monotone.  The release is strict
-because an edge in an unvisited shell can be exactly as long as the
-bound; releasing at equality would yield it after a longer-keyed tie.
+With the exact bound this makes the stream monotone.  The release is
+strict because an edge in an unvisited shell can be exactly as long as
+the bound; releasing at equality would yield it after a longer-keyed
+tie.  The bound is computed in floats and can round a few ulps above the
+exact one, and then a tie, or two lengths 1-2 ulps apart, can straddle a
+shell out of key order.
 
 The horizon ``max_length`` is the stream's only stop rule: edges longer
 than it are never yielded, and the stream ends once the release bound
