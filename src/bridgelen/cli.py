@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -22,6 +21,7 @@ import click
 
 from .bridge import BridgeReport, bridge_length
 from .errors import DegenerateCell, OracleInconclusive
+from .geometry import check_tolerance
 from .ingest import SYMMETRY_DEDUP_TOL, read_set_file
 from .oracle import oracle_bridge_length
 
@@ -140,9 +140,10 @@ _symmetry_option = click.option(
 
 def _finite_positive(ctx, param, value: float) -> float:
     # click.FloatRange(min=0, min_open=True) would still let nan through
-    if not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"{value} is not a finite number > 0.")
-    return value
+    try:
+        return check_tolerance(value)
+    except ValueError:
+        raise click.BadParameter(f"{value} is not a finite number > 0.") from None
 
 
 _tol_option = click.option(

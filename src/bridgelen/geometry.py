@@ -17,6 +17,7 @@ bounds how many shells of neighbouring cells the edge stream must visit.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,10 @@ MOTIF_DEDUP_TOL = 1e-8
 
 #: Practical cap on the dimension; the algorithms are dimension-generic.
 MAX_DIM = 8
+
+#: Rows per block of the motif dedup: a block is compared with the later
+#: points at once, so its temporaries hold _BLOCK * m * n floats.
+_BLOCK = 64
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -65,18 +70,30 @@ def wrapped_delta(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return d - np.round(d)
 
 
-def coincident(p: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the rows of ``points`` that are the same site as ``p``.
+def coincident(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """``(len(a), len(b))`` mask of the pairs of rows that are the same site.
 
     Two fractional points are the same site when their wrap-aware
-    difference has Euclidean norm below ``tol``.  The unit is fractional,
-    not length: CIF files print sites to a fixed number of fractional
-    decimals, so the rounding that separates a site on a special position
-    from its own symmetry image is a fraction of the cell.  A fractional
-    test also gives the same answer for a set and any scaled copy of it,
-    so a change of length unit never merges or splits sites.
+    difference has Euclidean norm below ``tol``; entry ``[i, j]`` measures
+    ``a[i] - b[j]``.  The unit is fractional, not length: CIF files print
+    sites to a fixed number of fractional decimals, so the rounding that
+    separates a site on a special position from its own symmetry image is a
+    fraction of the cell.  A fractional test also gives the same answer for
+    a set and any scaled copy of it, so a change of length unit never
+    merges or splits sites.
     """
-    return row_norms(wrapped_delta(p, points)) < tol
+    return row_norms(wrapped_delta(a[:, None], b[None])) < tol
+
+
+def check_tolerance(tol: float) -> float:
+    """``tol`` itself if it is a finite number above 0, else ValueError.
+
+    A NaN, zero or negative tolerance would make every coincidence test
+    false, so exact duplicates would be kept without a word.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tol}")
+    return tol
 
 
 @contextmanager
@@ -145,7 +162,9 @@ class Motif:
     ``dedup_tol`` are rejected, and the first such pair ``(i, j)`` in
     row-major order is reported.  The tolerance is a wrap-aware distance in
     fractional coordinates, so whether a motif is accepted does not depend
-    on the size of the cell it is placed in (see :func:`coincident`).
+    on the size of the cell it is placed in (see :func:`coincident`), and
+    it must be a finite number above 0.  The pairs are tested in blocks of
+    ``_BLOCK`` rows against all later points.
     """
 
     points: np.ndarray
@@ -160,13 +179,15 @@ class Motif:
         if not np.all(np.isfinite(arr)):
             raise ValueError("motif coordinates must be finite")
         arr = wrap_fractional(arr)
-        for i in range(arr.shape[0] - 1):
-            hits = np.flatnonzero(coincident(arr[i], arr[i + 1 :], self.dedup_tol))
-            if hits.size:
-                j = i + 1 + int(hits[0])
-                raise ValueError(
-                    f"motif points {i} and {j} coincide within {self.dedup_tol}"
-                )
+        tol = check_tolerance(self.dedup_tol)
+        for start in range(0, arr.shape[0] - 1, _BLOCK):
+            rows = arr[start : start + _BLOCK]
+            # column c of the mask is point start + 1 + c; keep j > i only
+            hits = np.triu(coincident(rows, arr[start + 1 :], tol))
+            if hits.any():
+                r, c = np.unravel_index(np.argmax(hits), hits.shape)
+                i, j = start + int(r), start + 1 + int(c)
+                raise ValueError(f"motif points {i} and {j} coincide within {tol}")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 

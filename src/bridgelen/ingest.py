@@ -35,11 +35,21 @@ from .errors import (
     ParseError,
     SymOpError,
 )
-from .geometry import LatticeBasis, Motif, PeriodicSet, coincident, wrap_fractional
+from .geometry import (
+    LatticeBasis,
+    Motif,
+    PeriodicSet,
+    check_tolerance,
+    coincident,
+    wrap_fractional,
+)
 
 #: Default tolerance (fractional, wrap-aware) for merging symmetry images;
 #: see :func:`bridgelen.geometry.coincident`.
 SYMMETRY_DEDUP_TOL = 1e-3
+
+#: Symmetry images per block of the greedy merge (see :func:`_merge_images`).
+_MERGE_BLOCK = 64
 
 _CELL_TAGS = (
     "_cell_length_a",
@@ -237,13 +247,15 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse ``"x, y+1/2, -z"``-style text into (matrix, translation).
 
     Grammar: three comma-separated components, each a signed sum of x/y/z
-    terms and rational (p/q) or decimal constants.
+    terms and rational (p/q) or decimal constants.  The integer matrix must
+    have determinant +1 or -1, computed exactly: a singular one such as
+    ``"x, x, z"`` maps the cell onto a plane and puts points in no orbit.
     """
     parts = op.split(",")
     if len(parts) != 3:
         raise SymOpError(f"expected 3 comma-separated components in {op!r}")
-    mat = np.zeros((3, 3))
-    trans = np.zeros(3)
+    mat = [[0, 0, 0] for _ in range(3)]
+    trans = [0.0, 0.0, 0.0]
     for r, comp in enumerate(parts):
         s = comp.replace(" ", "").lower()
         if not s:
@@ -257,9 +269,9 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
             sign_txt, term = m.group(1), m.group(2)
             if not first and not sign_txt:
                 raise SymOpError(f"missing operator in component {comp!r} of {op!r}")
-            sign = -1.0 if sign_txt == "-" else 1.0
+            sign = -1 if sign_txt == "-" else 1
             if term in "xyz":
-                mat[r, "xyz".index(term)] += sign
+                mat[r]["xyz".index(term)] += sign
             elif "/" in term:
                 num, den = term.split("/")
                 if float(den) == 0.0:
@@ -271,7 +283,13 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
                 trans[r] += sign * float(term)
             pos = m.end()
             first = False
-    return mat, trans
+    (a, b, c), (d, e, f), (g, h, k) = mat
+    det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    if det not in (1, -1):
+        raise SymOpError(
+            f"symmetry operation {op!r} has determinant {det}, not +1 or -1"
+        )
+    return np.array(mat, dtype=float), np.array(trans)
 
 
 def basis_from_cell_parameters(lengths, angles) -> LatticeBasis:
@@ -297,6 +315,34 @@ def basis_from_cell_parameters(lengths, angles) -> LatticeBasis:
     return LatticeBasis([v1, v2, (cx, cy, math.sqrt(cz_sq))])
 
 
+def _merge_images(images: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows of ``images`` that the greedy merge keeps.
+
+    A row is kept unless it is within ``tol`` of a row kept before it.  The
+    rows are taken in blocks of ``_MERGE_BLOCK``; each block is compared
+    with the rows kept so far and with its own earlier rows at once.  A
+    row near a kept one is dropped, a row with no earlier candidate near it
+    is kept, and a row near an earlier row that is surely kept is dropped;
+    only what is left (chains of rows, each near the one before) is decided
+    one by one, in order.
+    """
+    keep = np.zeros(len(images), dtype=bool)
+    tri = np.tri(_MERGE_BLOCK, k=-1, dtype=bool)
+    for start in range(0, len(images), _MERGE_BLOCK):
+        block = images[start : start + _MERGE_BLOCK]
+        size = len(block)
+        kept = images[:start][keep[:start]]
+        free = ~coincident(block, kept, tol).any(axis=1)
+        near = coincident(block, block, tol) & tri[:size, :size] & free
+        sure = free & ~near.any(axis=1)
+        left = free & ~sure & ~(near & sure).any(axis=1)
+        out = keep[start : start + size]
+        out[:] = sure
+        for i in np.flatnonzero(left):
+            out[i] = not (near[i] & out).any()
+    return keep
+
+
 def to_periodic_set(
     doc: CrystalDocument,
     expand_symmetry: bool = True,
@@ -307,25 +353,27 @@ def to_periodic_set(
     Symmetry images landing within ``dedup_tol`` of an already-kept point
     are merged.  The tolerance is fractional and wrap-aware, which suits the
     fractional decimals CIF sites are printed with (see
-    :func:`bridgelen.geometry.coincident`).  The merge is greedy against
-    the kept points, in the order of sites and operations, so the result is
-    deterministic.
+    :func:`bridgelen.geometry.coincident`), and must be a finite number
+    above 0.  The merge is greedy against the kept points, in the order of
+    sites and operations, so the result is deterministic; it runs in
+    blocks of images (see :func:`_merge_images`).
+
+    Each image is ``wrap_fractional(mat @ frac + trans)``, computed for all
+    sites and operations at once.  A crystallographic operation has entries
+    0 and +-1 with at most two nonzero per row, so each product is exact and
+    each row sum is one rounding, whatever the order of evaluation.
     """
+    check_tolerance(dedup_tol)
     basis = basis_from_cell_parameters(doc.cell_lengths, doc.cell_angles)
-    fracs = [np.asarray(frac, dtype=float) for _, frac in doc.sites]
+    fracs = np.array([frac for _, frac in doc.sites], dtype=float)
     if expand_symmetry and doc.symmetry_ops:
-        ops = [parse_symmetry_op(s) for s in doc.symmetry_ops]
-        kept = np.empty((len(fracs) * len(ops), 3))
-        count = 0
-        for frac in fracs:
-            for mat, trans in ops:
-                img = wrap_fractional(mat @ frac + trans)
-                if not coincident(img, kept[:count], dedup_tol).any():
-                    kept[count] = img
-                    count += 1
-        points = kept[:count]
+        mats, trans = map(np.array, zip(*map(parse_symmetry_op, doc.symmetry_ops)))
+        # (sites, ops, 3) flattened: site-major, operation-minor
+        images = wrap_fractional(np.einsum("ojk,sk->soj", mats, fracs) + trans)
+        images = images.reshape(-1, 3)
+        points = images[_merge_images(images, dedup_tol)]
     else:
-        points = np.array(fracs)
+        points = fracs
     return PeriodicSet(basis, Motif(points))
 
 
@@ -397,7 +445,9 @@ def read_set_file(
 
     Returns (set, identifier); the identifier is the CIF data-block name
     when present, else the file stem.  ``fmt`` overrides the extension.
+    ``dedup_tol`` must be a finite number above 0 for either format.
     """
+    check_tolerance(dedup_tol)
     p = Path(path)
     if fmt is None:
         suffix = p.suffix.lower()

@@ -51,6 +51,17 @@ def test_compute_broken_cif_exits_1(runner, fixtures_dir):
     assert "line 3" in result.stderr
 
 
+def test_compute_singular_symmetry_op_exits_1(runner, fixtures_dir, tmp_path):
+    text = (fixtures_dir / "bcc.cif").read_text()
+    assert "'x+1/2, y+1/2, z+1/2'" in text
+    bad = tmp_path / "singular.cif"
+    bad.write_text(text.replace("'x+1/2, y+1/2, z+1/2'", "'x, x, z'"))
+    result = runner.invoke(main, ["compute", str(bad)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "'x, x, z' has determinant 0" in result.stderr
+
+
 def test_compute_missing_file_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["compute", str(tmp_path / "nope.json")])
     assert result.exit_code == 1

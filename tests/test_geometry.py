@@ -17,7 +17,7 @@ from bridgelen import (
     cell_metrics,
     facet_heights,
 )
-from bridgelen.geometry import wrap_fractional, wrapped_delta
+from bridgelen.geometry import _BLOCK, wrap_fractional, wrapped_delta
 
 from conftest import make_set, random_basis
 
@@ -185,29 +185,59 @@ class TestMotif:
         with pytest.raises(ValueError, match=message):
             Motif([[0.5], [0.96], [0.08], [0.02]], dedup_tol=0.1)
 
-    def test_matches_pairwise_reference(self):
+    @staticmethod
+    def assert_first_pair(pts, tol):
         # reference: the per-pair loop, one norm per pair in row-major order
+        arr = wrap_fractional(pts)
+        m = len(arr)
+        first = next(
+            (
+                (i, j)
+                for i in range(m)
+                for j in range(i + 1, m)
+                if np.linalg.norm(wrapped_delta(arr[i], arr[j])) < tol
+            ),
+            None,
+        )
+        if first is None:
+            assert np.array_equal(Motif(pts, dedup_tol=tol).points, arr)
+        else:
+            message = f"motif points {first[0]} and {first[1]} "
+            with pytest.raises(ValueError, match=message):
+                Motif(pts, dedup_tol=tol)
+        return first
+
+    def test_matches_pairwise_reference(self):
         rng = np.random.default_rng(31)
         tol = 0.05
         for _ in range(300):
             m = int(rng.integers(2, 25))
             pts = rng.integers(0, 6, (m, 2)) / 6 + rng.normal(0, 0.03, (m, 2))
-            arr = wrap_fractional(pts)
-            first = next(
-                (
-                    (i, j)
-                    for i in range(m)
-                    for j in range(i + 1, m)
-                    if np.linalg.norm(wrapped_delta(arr[i], arr[j])) < tol
-                ),
-                None,
-            )
-            if first is None:
-                assert np.array_equal(Motif(pts, dedup_tol=tol).points, arr)
-            else:
-                message = f"motif points {first[0]} and {first[1]} "
-                with pytest.raises(ValueError, match=message):
-                    Motif(pts, dedup_tol=tol)
+            self.assert_first_pair(pts, tol)
+
+    def test_matches_pairwise_reference_beyond_one_block(self):
+        # more points than one block of rows; a planted near pair (i, j)
+        # lands in any block, including past the first block's rows
+        rng = np.random.default_rng(32)
+        tol = 0.004
+        firsts = []
+        for _ in range(16):
+            m = int(rng.integers(_BLOCK + 2, 2 * _BLOCK + 40))
+            pts = rng.random((m, 3))
+            if rng.random() < 0.75:
+                i, j = sorted(rng.choice(m, 2, replace=False))
+                pts[j] = pts[i] + rng.normal(0, tol / 4, 3) + rng.integers(-1, 2, 3)
+            firsts.append(self.assert_first_pair(pts, tol))
+        assert None in firsts
+        assert any(f is not None and f[0] >= _BLOCK for f in firsts)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, float("inf")])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN, zero or negative tolerance would keep even these duplicates
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            Motif([[0.1, 0.2], [0.1, 0.2]], dedup_tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            Motif([[0.1, 0.2]], dedup_tol=tol)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

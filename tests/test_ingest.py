@@ -1,5 +1,6 @@
 """Tests for CIF and JSON ingestion."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,11 +16,12 @@ from bridgelen import (
     SymOpError,
     parse_cif,
     parse_json_set,
+    read_set_file,
     to_periodic_set,
     write_json_set,
 )
 from bridgelen.geometry import wrap_fractional, wrapped_delta
-from bridgelen.ingest import parse_symmetry_op
+from bridgelen.ingest import _MERGE_BLOCK, parse_symmetry_op
 
 from conftest import make_set, random_set
 
@@ -193,6 +195,58 @@ class TestSymmetryOps:
         with pytest.raises(SymOpError, match=r"zero denominator .*'x\+1/0, y, z'"):
             parse_symmetry_op("x+1/0, y, z")
 
+    @pytest.mark.parametrize(
+        "op, det",
+        [("x, x, z", 0), ("x, y, 0", 0), ("x+x, y, z", 2), ("x-y, x+y, z", 2)],
+    )
+    def test_rejects_singular_or_non_unimodular(self, op, det):
+        # "x, x, z" maps the cell onto a plane: its images lie in no orbit
+        with pytest.raises(SymOpError, match=f"determinant {det}, not"):
+            parse_symmetry_op(op)
+
+    def test_accepts_determinant_plus_or_minus_one(self):
+        for op in ("-x, -y, -z", "y, x, z", "-y, x-y, z+1/3", "x-y, -y, -z"):
+            mat, _ = parse_symmetry_op(op)
+            assert round(abs(np.linalg.det(mat))) == 1
+
+    def test_singular_op_rejected_by_expansion(self):
+        doc = parse_cif(cif_text(sites=((0.1, 0.2, 0.3),), ops=("x, y, z", "x, x, z")))
+        with pytest.raises(SymOpError, match="'x, x, z'"):
+            to_periodic_set(doc)
+        # without expansion the operations are never read
+        assert to_periodic_set(doc, expand_symmetry=False).motif_size == 1
+
+
+def assert_greedy_merge(doc, tol):
+    """to_periodic_set against the reference merge: each image tested
+    against the kept points one by one, in site-major, operation-minor
+    order.  Returns the set."""
+    parsed = [parse_symmetry_op(op) for op in doc.symmetry_ops]
+    kept = []
+    for _, frac in doc.sites:
+        for mat, trans in parsed:
+            img = wrap_fractional(mat @ np.asarray(frac) + trans)
+            if not any(np.linalg.norm(wrapped_delta(img, p)) < tol for p in kept):
+                kept.append(img)
+    pset = to_periodic_set(doc, dedup_tol=tol)
+    assert np.array_equal(pset.motif.points, np.array(kept))
+    return pset
+
+
+def fm3m_ops():
+    """The 192 operations of Fm-3m: the 48 signed axis permutations of
+    m-3m, each with the four face-centring translations."""
+    ops = []
+    centring = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+    for perm in itertools.permutations("xyz"):
+        for signs in itertools.product("+-", repeat=3):
+            for c in centring:
+                ops.append(", ".join(
+                    f"{sign}{axis}" + ("+1/2" if half else "")
+                    for sign, axis, half in zip(signs, perm, c)
+                ))
+    return ops
+
 
 class TestToPeriodicSet:
     def test_cube_no_symmetry(self):
@@ -228,23 +282,49 @@ class TestToPeriodicSet:
         assert np.array_equal(pset.motif.points, np.array(sites)[[0, 2]])
 
     def test_merge_matches_pairwise_reference(self):
-        # reference: each image tested against the kept points one by one
         ops = ("x, y, z", "-x, -y, -z", "x+1/2, y+1/2, z+1/2", "-x+1/2, -y+1/2, -z+1/2")
-        parsed = [parse_symmetry_op(op) for op in ops]
         rng = np.random.default_rng(73)
         tol = 0.05
-        for _ in range(100):
-            grid = rng.integers(0, 8, (6, 3)) / 8 + rng.normal(0, 0.02, (6, 3))
-            sites = [tuple(p) for p in grid]
-            doc = parse_cif(cif_text(sites=sites, ops=ops))
-            kept = []
-            for _, frac in doc.sites:
-                for mat, trans in parsed:
-                    img = wrap_fractional(mat @ np.asarray(frac) + trans)
-                    if not any(np.linalg.norm(wrapped_delta(img, p)) < tol for p in kept):
-                        kept.append(img)
-            pset = to_periodic_set(doc, dedup_tol=tol)
-            assert np.array_equal(pset.motif.points, np.array(kept))
+        for sites_per_doc in (6, 2 * _MERGE_BLOCK // len(ops) + 3):
+            for _ in range(100 if sites_per_doc == 6 else 20):
+                grid = rng.integers(0, 8, (sites_per_doc, 3)) / 8
+                grid = grid + rng.normal(0, 0.02, grid.shape)
+                doc = parse_cif(cif_text(sites=[tuple(p) for p in grid], ops=ops))
+                assert_greedy_merge(doc, tol)
+
+    def test_merge_chain_straddling_a_block_boundary(self):
+        # isolated sites up to the boundary, then a chain of sites 0.6 tol
+        # apart across it: the greedy merge keeps every other link
+        tol = 0.01
+        step = 0.6 * tol
+        lead = _MERGE_BLOCK - 3
+        isolated = [((i % 8 + 0.5) / 8, (i // 8 % 8 + 0.5) / 8, 0.5) for i in range(lead)]
+        chain = [(0.01 + k * step, 0.01, 0.01) for k in range(9)]
+        doc = parse_cif(cif_text(sites=isolated + chain, ops=("x, y, z",)))
+        pset = assert_greedy_merge(doc, tol)
+        assert pset.motif_size == lead + 5
+
+    def test_merge_fm3m_special_positions(self):
+        # 192 operations, three blocks of images per site; the sites sit on
+        # Wyckoff positions 32f, 24e, 8c and 4a, so images repeat
+        ops = fm3m_ops()
+        assert len(ops) == 192
+        sites = ((0.1, 0.1, 0.1), (0.2, 0.0, 0.0), (0.25, 0.25, 0.25), (0.0, 0.0, 0.0))
+        for site, orbit in zip(sites, (32, 24, 8, 4)):
+            doc = parse_cif(cif_text(sites=(site,), ops=ops))
+            assert assert_greedy_merge(doc, 1e-3).motif_size == orbit
+        doc = parse_cif(cif_text(sites=sites, ops=ops))
+        assert assert_greedy_merge(doc, 1e-3).motif_size == 32 + 24 + 8 + 4
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3, float("inf")])
+    def test_rejects_bad_tolerance(self, tol, tmp_path):
+        doc = parse_cif(cif_text(ops=("x, y, z",)))
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            to_periodic_set(doc, dedup_tol=tol)
+        path = tmp_path / "one.cif"
+        path.write_text(cif_text(ops=("x, y, z",)))
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            read_set_file(path, dedup_tol=tol)
 
     def test_expansion_idempotent(self):
         # ops must form a group mod 1 (as real CIF op lists do): inversion
