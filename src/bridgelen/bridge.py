@@ -10,8 +10,10 @@ maintaining two certificates over the labelled quotient graph:
    (Hermite) basis has n pivots equal to 1.
 
 The first edge whose acceptance makes both hold has the bridge length as
-its length.  Everything is deterministic: identical inputs give identical
-reports, including the trace.
+its length.  Many cycle edges repeat a cycle sum (or its negation) that
+was offered before; that sum is already in the span, so only the first
+copy of each goes to the Hermite basis.  Everything is deterministic:
+identical inputs give identical reports, including the trace.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ def bridge_length(pset: PeriodicSet) -> BridgeReport:
     Edges are classified against the growing quotient forest; cycle sums
     outside the current integer span are appended to the translational
     matrix (edges whose cycle sum is zero or already spanned cannot change
-    connectivity of the lifted graph and are ignored).  This function owns
+    connectivity of the lifted graph and are ignored).  A cycle sum equal
+    to one offered before, or to its negation, is in the span already and
+    is not offered again: ``OnlineSnfState.add`` would return False and
+    leave the basis as it is.  This function owns
     the trace: it records each forest edge and each span-growing cycle edge
     as it accepts them.  Terminates at the first accepted edge after which
     the forest is connected and the span certificate is complete.
@@ -69,12 +74,18 @@ def bridge_length(pset: PeriodicSet) -> BridgeReport:
     state = QuotientState(pset.motif_size, pset.dim)
     snf_state = OnlineSnfState(pset.dim)
     forest, cycles = [], []
+    offered = set()  # cycle sums offered to snf_state, and their negations
     for examined, edge in enumerate(gen, start=1):
         outcome = state.classify_edge(edge)
         if outcome.kind == "forest":
             forest.append(edge)
-        elif outcome.kind == "cycle" and snf_state.add(outcome.cycle_sum):
-            cycles.append((edge, outcome.cycle_sum))
+        elif outcome.kind == "cycle" and outcome.cycle_sum not in offered:
+            c = outcome.cycle_sum
+            offered.add(c)
+            offered.add(tuple([-x for x in c]))
+            if not snf_state.add(c):
+                continue
+            cycles.append((edge, c))
         else:
             continue
         if state.connected() and snf_state.is_complete():

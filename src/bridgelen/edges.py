@@ -24,12 +24,16 @@ Each block gives its lengths in one numpy expression, the same for every
 row, and keeps those inside the band.  The buffer is a set of parallel
 arrays (length, source, dest, translation): after each shell the unread
 rest and the new candidates are put in yield order and a cursor walks
-them, so a :class:`CandidateEdge` is built only for an edge that is
-yielded.  The order is one stable ``np.argsort`` of the lengths; the full
-key is sorted only on the rows inside runs of equal length.  A buffered
-edge of length L is released only when L is strictly below the
-*height-projected* lower bound on every edge reaching any un-enumerated
-shell:
+them.  The order is one stable ``np.argsort`` of the lengths; the full
+key is sorted only on the rows inside runs of equal length.  Edges leave
+the buffer in chunks: when the converted edges run out, the next
+``_CHUNK`` released rows at most become :class:`CandidateEdge` tuples,
+with one ``tolist()`` per column, and each ``next()`` hands out one.  So
+a CandidateEdge is built only for an edge yielded or for the rest of its
+chunk; converting the whole released run at once would build many that a
+consumer stopping early never reads.  A buffered edge of length L is
+released only when L is strictly below the *height-projected* lower
+bound on every edge reaching any un-enumerated shell:
 
     bound(sigma) = min_i [ alpha_i + beta_i + (sigma - 1) * h_i ]
 
@@ -68,9 +72,8 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,13 +105,16 @@ _START_FACTOR = 2.0
 #: ... and is multiplied by this each time the stream runs dry below it.
 _GROWTH_FACTOR = 2.0
 
+#: Most released rows converted to CandidateEdge tuples at once.
+_CHUNK = 32
 
-@dataclass(frozen=True, order=True)
-class CandidateEdge:
+
+class CandidateEdge(NamedTuple):
     """One lattice-translation class of edges.
 
     Field order gives the sort key (length, source, dest, translation),
-    which is exactly the order the stream yields in.
+    which is exactly the order the stream yields in.  A named tuple, so it
+    is immutable and hashable, and equal to the plain tuple of its fields.
     """
 
     length: float
@@ -279,6 +285,10 @@ class EdgeGenerator:
         self._dest = np.empty(0, dtype=np.int32)
         self._translation = np.empty((0, self._n), dtype=np.int32)
         self._cursor = 0
+        # rows before this index lie below the release bound
+        self._released = 0
+        # converted edges not yet yielded, the next one last
+        self._ready: list[CandidateEdge] = []
         self._next_shell = 0
         self._bound = self._release_bound(0)
 
@@ -291,17 +301,9 @@ class EdgeGenerator:
     def pending(self) -> tuple[CandidateEdge, ...]:
         """Buffered candidates not yet yielded, in yield order (copy;
         inspection only): those of the shells built so far up to the
-        working horizon, not up to ``max_length``."""
-        k = self._cursor
-        return tuple(
-            CandidateEdge(length, source, dest, tuple(t))
-            for length, source, dest, t in zip(
-                self._length[k:].tolist(),
-                self._source[k:].tolist(),
-                self._dest[k:].tolist(),
-                self._translation[k:].tolist(),
-            )
-        )
+        working horizon, not up to ``max_length``.  The converted edges
+        of the current chunk come first."""
+        return (*reversed(self._ready), *self._convert(len(self._length)))
 
     def _release_bound(self, sigma: int) -> float:
         if sigma <= 0:
@@ -313,20 +315,16 @@ class EdgeGenerator:
 
     def __next__(self) -> CandidateEdge:
         """Next shortest not-yet-yielded edge class."""
-        while True:
-            k = self._cursor
-            if k < len(self._length) and self._length[k] < self._bound:
-                self._cursor = k + 1
-                return CandidateEdge(
-                    float(self._length[k]),
-                    int(self._source[k]),
-                    int(self._dest[k]),
-                    tuple(self._translation[k].tolist()),
-                )
-            if self._bound <= self._horizon:
+        while not self._ready:
+            if self._cursor < self._released:
+                end = min(self._cursor + _CHUNK, self._released)
+                self._ready = self._convert(end)[::-1]
+                self._cursor = end
+            elif self._bound <= self._horizon:
                 self._merge(self._collect(self._next_shell, -math.inf, self._horizon))
                 self._next_shell += 1
                 self._bound = self._release_bound(self._next_shell)
+                self._released = int(np.searchsorted(self._length, self._bound))
             elif self._horizon < self.max_length:
                 # the buffer is empty: every edge up to the horizon is out
                 lo = self._horizon
@@ -336,8 +334,25 @@ class EdgeGenerator:
                     for s in range(self._next_shell)
                     for part in self._collect(s, lo, self._horizon)
                 )
+                self._released = int(np.searchsorted(self._length, self._bound))
             else:
                 raise StopIteration
+        return self._ready.pop()
+
+    def _convert(self, end: int) -> list[CandidateEdge]:
+        """The buffered rows from the cursor up to ``end`` as edges."""
+        part = slice(self._cursor, end)
+        return list(
+            map(
+                CandidateEdge._make,
+                zip(
+                    self._length[part].tolist(),
+                    self._source[part].tolist(),
+                    self._dest[part].tolist(),
+                    map(tuple, self._translation[part].tolist()),
+                ),
+            )
+        )
 
     def _set_boxes(self, hi: float) -> None:
         """Give every pair, the self class (the last pair, Delta = 0)

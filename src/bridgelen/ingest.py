@@ -23,6 +23,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -50,6 +51,10 @@ SYMMETRY_DEDUP_TOL = 1e-3
 
 #: Symmetry images per block of the greedy merge (see :func:`_merge_images`).
 _MERGE_BLOCK = 64
+
+#: Distinct operation strings whose parse is kept; a CIF corpus reuses the
+#: few hundred operations of its space groups again and again.
+_SYMOP_CACHE = 4096
 
 _CELL_TAGS = (
     "_cell_length_a",
@@ -250,7 +255,17 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
     terms and rational (p/q) or decimal constants.  The integer matrix must
     have determinant +1 or -1, computed exactly: a singular one such as
     ``"x, x, z"`` maps the cell onto a plane and puts points in no orbit.
+    The parse is cached per string; every call returns new arrays, and a
+    bad operation raises :class:`SymOpError` on every call.
     """
+    mat, trans = _parse_symmetry_op(op)
+    return np.array(mat, dtype=float), np.array(trans)
+
+
+@lru_cache(maxsize=_SYMOP_CACHE)
+def _parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+    """:func:`parse_symmetry_op` as immutable tuples (an exception is
+    never cached)."""
     parts = op.split(",")
     if len(parts) != 3:
         raise SymOpError(f"expected 3 comma-separated components in {op!r}")
@@ -289,7 +304,7 @@ def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
         raise SymOpError(
             f"symmetry operation {op!r} has determinant {det}, not +1 or -1"
         )
-    return np.array(mat, dtype=float), np.array(trans)
+    return tuple(map(tuple, mat)), tuple(trans)
 
 
 def basis_from_cell_parameters(lengths, angles) -> LatticeBasis:
@@ -367,7 +382,8 @@ def to_periodic_set(
     basis = basis_from_cell_parameters(doc.cell_lengths, doc.cell_angles)
     fracs = np.array([frac for _, frac in doc.sites], dtype=float)
     if expand_symmetry and doc.symmetry_ops:
-        mats, trans = map(np.array, zip(*map(parse_symmetry_op, doc.symmetry_ops)))
+        mats, trans = zip(*map(_parse_symmetry_op, doc.symmetry_ops))
+        mats, trans = np.array(mats, dtype=float), np.array(trans)
         # (sites, ops, 3) flattened: site-major, operation-minor
         images = wrap_fractional(np.einsum("ojk,sk->soj", mats, fracs) + trans)
         images = images.reshape(-1, 3)

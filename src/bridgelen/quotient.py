@@ -23,7 +23,10 @@ periodic graphs", in *Applied Geometry and Discrete Mathematics*, DIMACS
 Series 4, AMS, 1991, pp. 135-146.
 
 Only :meth:`QuotientState.classify_edge` mutates a state; reads never do.
-Distinct states are independent.
+Distinct states are independent.  It runs once per examined edge, so it
+returns the shared outcomes ``FOREST`` and ``ZERO_CYCLE`` instead of
+building one per edge; only a nonzero cycle sum gets an outcome of its
+own.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ class EdgeOutcome:
     cycle_sum: Optional[tuple[int, ...]] = None
 
 
+FOREST = EdgeOutcome(kind="forest")
+ZERO_CYCLE = EdgeOutcome(kind="zero_cycle")
+
+
 def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, a, b))
-
-
-def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.sub, a, b))
 
 
 class QuotientState:
@@ -80,12 +83,16 @@ class QuotientState:
         """Join source and dest for a forest edge, else report the cycle sum."""
         if not (0 <= e.source < self.m and 0 <= e.dest < self.m):
             raise IndexError("edge endpoint out of range")
-        v = tuple(map(int, e.translation))
         rs, rd = self._root[e.source], self._root[e.dest]
-        c = _sub(_sub(self._offset[e.source], self._offset[e.dest]), v)
+        c = tuple(
+            [
+                a - b - int(t)
+                for a, b, t in zip(self._offset[e.source], self._offset[e.dest], e.translation)
+            ]
+        )
         if rs == rd:
             if not any(c):
-                return EdgeOutcome(kind="zero_cycle")
+                return ZERO_CYCLE
             return EdgeOutcome(kind="cycle", cycle_sum=c)
         # relabel the smaller side so that path_sum(source, dest) == v
         if len(self._members[rs]) >= len(self._members[rd]):
@@ -97,7 +104,7 @@ class QuotientState:
             self._root[u] = keep
             self._offset[u] = _add(self._offset[u], shift)
         self._members[keep].extend(moved)
-        return EdgeOutcome(kind="forest")
+        return FOREST
 
     def path_sum(self, u: int, w: int) -> Optional[np.ndarray]:
         """Sum of labels along the forest path u -> w; None if disconnected."""
@@ -105,4 +112,6 @@ class QuotientState:
             raise IndexError("vertex out of range")
         if self._root[u] != self._root[w]:
             return None
-        return np.array(_sub(self._offset[u], self._offset[w]), dtype=np.int64)
+        return np.array(
+            [a - b for a, b in zip(self._offset[u], self._offset[w])], dtype=np.int64
+        )

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -642,3 +643,59 @@ class TestExtremeHorizons:
     def test_default_horizon_with_infinite_start(self, monkeypatch, bcc):
         monkeypatch.setattr(edges_module, "_START_FACTOR", math.inf)
         assert len(list(EdgeGenerator(bcc))) == len(brute_force_upto(bcc, 1.0))
+
+
+@pytest.fixture
+def dense_000(monkeypatch):
+    """``dense-000-uniform-m20`` of the seed-101 benchmark corpus: its
+    first shells release a run of more than two chunks."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import corpus
+
+    case = corpus.make("dense-motif", 101)[0]
+    assert case.name == "dense-000-uniform-m20"
+    return make_set(case.basis, case.frac)
+
+
+class TestChunkedRelease:
+    """``next()`` converts released rows a chunk at a time; stopping
+    anywhere must leave the same yields and ``pending`` as converting one
+    row per call (the tracer's ``edges.generated`` reads both)."""
+
+    CHUNK = edges_module._CHUNK
+    STOPS = sorted({1, 2, 41, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 103})
+
+    @staticmethod
+    def stops(pset, stops):
+        """(shells, yielded, pending) after each of ``stops`` yields of
+        one fresh stream, as far as it goes."""
+        gen = EdgeGenerator(pset)
+        out, yielded = [], []
+        for k in stops:
+            yielded += itertools.islice(gen, k - len(yielded))
+            out.append((gen.shells_enumerated, list(yielded), gen.pending))
+        return out
+
+    @pytest.mark.parametrize("name", ["fig3", "bcc", "slab", "dense-000"])
+    def test_stopping_anywhere_matches_one_row_per_call(
+        self, monkeypatch, fig3_set, bcc, dense_000, name
+    ):
+        pset = {"fig3": fig3_set, "bcc": bcc, "slab": slab_19(), "dense-000": dense_000}[name]
+        got = self.stops(pset, self.STOPS)
+        monkeypatch.setattr(edges_module, "_CHUNK", 1)
+        assert got == self.stops(pset, self.STOPS)
+        longest = got[-1][1] + list(got[-1][2])
+        for _, yielded, pending in got:
+            # each stop sees a prefix of one order, in CandidateEdge order
+            assert yielded == longest[: len(yielded)]
+            assert yielded + list(pending) == sorted(yielded + list(pending))
+        if name == "dense-000":
+            # one run spans several chunks: no shell is built between the
+            # first yield and yield 2 * CHUNK + 5
+            k = self.STOPS.index(2 * self.CHUNK + 5)
+            assert len(got[k][1]) == 2 * self.CHUNK + 5 and got[0][0] == got[k][0]
+
+    def test_yields_sort_across_chunk_boundaries(self, fig3_set, bcc, dense_000):
+        for pset in (fig3_set, bcc, slab_19(), dense_000):
+            yielded = take(EdgeGenerator(pset, max_length=math.inf), 3 * self.CHUNK + 7)
+            assert yielded == sorted(yielded)

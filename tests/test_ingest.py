@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,25 @@ class TestSymmetryOps:
         for op in ("-x, -y, -z", "y, x, z", "-y, x-y, z+1/3", "x-y, -y, -z"):
             mat, _ = parse_symmetry_op(op)
             assert round(abs(np.linalg.det(mat))) == 1
+
+    def test_repeated_parse_returns_fresh_arrays(self):
+        op = "1/2-x, y+1/2, -z"
+        mat, trans = parse_symmetry_op(op)
+        mat[:] = 7.0
+        trans[:] = 7.0
+        again_mat, again_trans = parse_symmetry_op(op)
+        assert again_mat is not mat and again_trans is not trans
+        assert np.array_equal(again_mat, np.diag([-1.0, 1.0, -1.0]))
+        assert again_trans == pytest.approx([0.5, 0.5, 0.0])
+        # the expansion reads the same cached parse
+        doc = parse_cif(cif_text(sites=((0.1, 0.2, 0.3),), ops=("x, y, z", op)))
+        assert to_periodic_set(doc).motif.points[1] == pytest.approx([0.4, 0.7, 0.7])
+
+    @pytest.mark.parametrize("op", ["x, y", "x, y, 2w", "x+1/0, y, z", "x, x, z"])
+    def test_bad_op_raises_on_every_call(self, op):
+        for _ in range(3):
+            with pytest.raises(SymOpError, match=re.escape(repr(op))):
+                parse_symmetry_op(op)
 
     def test_singular_op_rejected_by_expansion(self):
         doc = parse_cif(cif_text(sites=((0.1, 0.2, 0.3),), ops=("x, y, z", "x, x, z")))

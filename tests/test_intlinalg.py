@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelen import OnlineSnfState, in_span, snf, spans_lattice
 from bridgelen.intlinalg import _matmul, det
@@ -294,6 +296,31 @@ class TestOnlineSnf:
                         pivot = state._rows[k]
                         if pivot is not None:
                             assert 0 <= row[k] < pivot[k]
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), max_size=12),
+                st.lists(st.integers(-4, 4), min_size=12, max_size=12),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spanned_vectors_leave_the_basis_alone(self, case):
+        # the bridge driver offers each cycle sum once: a repeat, its
+        # negation and any integer combination of accepted vectors must be
+        # rejected without touching the basis
+        n, vectors, coef = case
+        state = OnlineSnfState(n)
+        accepted = [v for v in vectors if state.add(v)]
+        rows = [None if r is None else list(r) for r in state._rows]
+        combination = [
+            sum(c * v[i] for c, v in zip(coef, accepted)) for i in range(n)
+        ]
+        for v in [*accepted, *([-x for x in v] for v in accepted), combination]:
+            assert state.add(v) is False
+            assert state._rows == rows
 
     def test_factors_never_increase(self):
         rng = np.random.default_rng(25)

@@ -1,9 +1,11 @@
 """Tests for the labelled-quotient-graph state (stored roots and offsets)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bridgelen import CandidateEdge, QuotientState
+from bridgelen import CandidateEdge, QuotientState, quotient
 
 
 def edge(source, dest, translation, length=1.0):
@@ -140,3 +142,52 @@ class TestPathSum:
                 assert got is None
             else:
                 assert np.array_equal(got, expected)
+
+
+class TestEdgeTypes:
+    def test_candidate_edge_sorts_by_length_source_dest_translation(self):
+        edges = [
+            edge(1, 2, (0, 1), length=1.0),
+            edge(0, 2, (0, 1), length=1.0),
+            edge(0, 1, (1, 0), length=1.0),
+            edge(0, 1, (0, 1), length=1.0),
+            edge(0, 0, (1, 0), length=0.5),
+        ]
+        # listed in descending (length, source, dest, translation) order
+        assert sorted(edges) == edges[::-1]
+
+    def test_candidate_edge_is_an_immutable_tuple(self):
+        e = edge(0, 1, (1, -1), length=2.0)
+        assert e == (2.0, 0, 1, (1, -1))
+        assert hash(e) == hash((2.0, 0, 1, (1, -1)))
+        with pytest.raises(AttributeError):
+            e.length = 3.0
+        with pytest.raises(AttributeError):
+            e.extra = 1
+
+    def test_numpy_and_python_translations_classify_alike(self):
+        got = []
+        for cast in (int, np.int32, np.int64):
+            state = QuotientState(2, 2)
+            outs = [
+                state.classify_edge(edge(s, d, tuple(cast(x) for x in t)))
+                for s, d, t in ((0, 1, (0, 1)), (1, 0, (2, 0)), (0, 1, (0, 1)))
+            ]
+            got.append(outs)
+            assert all(type(x) is int for x in outs[1].cycle_sum)
+        assert got[0] == got[1] == got[2]
+        assert [o.kind for o in got[0]] == ["forest", "cycle", "zero_cycle"]
+        assert got[0][1].cycle_sum == (-2, -1)  # path (0, -1) less (2, 0)
+
+    def test_shared_outcomes_are_immutable(self):
+        state = QuotientState(2, 1)
+        forest = state.classify_edge(edge(0, 1, (0,)))
+        zero = state.classify_edge(edge(0, 1, (0,)))
+        assert forest is quotient.FOREST and zero is quotient.ZERO_CYCLE
+        for outcome in (forest, zero):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.kind = "cycle"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.cycle_sum = (1,)
+        assert (forest.kind, forest.cycle_sum) == ("forest", None)
+        assert (zero.kind, zero.cycle_sum) == ("zero_cycle", None)
