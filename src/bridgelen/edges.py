@@ -274,10 +274,10 @@ class EdgeGenerator:
         self._pair_src = np.append(pair_src, self._m).astype(np.int32)
         self._pair_dst = np.append(pair_dst, self._m).astype(np.int32)
         zero = np.zeros((1, self._n))
-        self._frac = np.concatenate([frac, zero])
-        cart = np.concatenate([cart, zero])
-        self._cart_src = cart[self._pair_src]
-        self._cart_dst = cart[self._pair_dst]
+        # (m + 1, n) motif, and its fractional axes as contiguous columns;
+        # a block's rows are gathered by pair index, no pair copy is kept
+        self._cart = np.concatenate([cart, zero])
+        self._frac_axes = np.concatenate([frac, zero]).T.copy()
         self._box_horizon = None
         # the buffer, in yield order from the cursor on
         self._length = np.empty(0)
@@ -372,21 +372,35 @@ class EdgeGenerator:
         """
         reach = hi * (1.0 + _BOX_SLACK) + _BOX_SLACK * self._n * self.metrics.b
         # python floats: an infinite or huge horizon gives no warning
-        radius = np.array([min(reach / h, _BOX_CAP) for h in self.metrics.heights])
-        # a block of pairs at a time, so no (pairs, n) float array is held
-        lo = np.empty((len(self._pair_src), self._n), dtype=np.int32)
+        radius = [min(reach / h, _BOX_CAP) for h in self.metrics.heights]
+        # one axis at a time on 1-D columns, a block of pairs at a time, so
+        # no (pairs, n) float array is held
+        pairs = len(self._pair_src)
+        lo = np.empty((self._n, pairs), dtype=np.int32)
         up = np.empty_like(lo)
-        for start in range(0, len(lo), _BLOCK):
-            part = slice(start, start + _BLOCK)
-            delta = self._frac[self._pair_dst[part]] - self._frac[self._pair_src[part]]
-            lo[part] = np.ceil(-radius - delta)
-            up[part] = np.floor(radius - delta)
-        (self._live,) = np.nonzero((lo <= up).all(axis=1))
-        lo, up = lo[self._live], up[self._live]
-        self._box_lo, self._box_up = lo, up
         # a box meets shell s iff near <= s <= far
-        self._box_near = np.maximum(lo, -up).max(axis=1)
-        self._box_far = np.maximum(-lo, up).max(axis=1)
+        near = np.full(pairs, np.iinfo(np.int32).min, dtype=np.int32)
+        far = np.zeros(pairs, dtype=np.int32)
+        empty = np.zeros(pairs, dtype=bool)
+        for start in range(0, pairs, _BLOCK):
+            part = slice(start, start + _BLOCK)
+            src, dst = self._pair_src[part], self._pair_dst[part]
+            near_p, far_p, empty_p = near[part], far[part], empty[part]
+            for k, col in enumerate(self._frac_axes):
+                delta = col.take(dst) - col.take(src)
+                lo_k, up_k = lo[k, part], up[k, part]
+                np.ceil(-radius[k] - delta, out=lo_k, casting="unsafe")
+                np.floor(radius[k] - delta, out=up_k, casting="unsafe")
+                empty_p |= lo_k > up_k
+                np.maximum(near_p, lo_k, out=near_p)
+                np.maximum(near_p, -up_k, out=near_p)
+                np.maximum(far_p, -lo_k, out=far_p)
+                np.maximum(far_p, up_k, out=far_p)
+        (self._live,) = np.nonzero(~empty)
+        self._box_lo = lo.T[self._live]
+        self._box_up = up.T[self._live]
+        self._box_near = near[self._live]
+        self._box_far = far[self._live]
         # the self class (the last pair) has no class in shell 0
         self._box_near[-1] = 1
         self._box_horizon = hi
@@ -412,9 +426,9 @@ class EdgeGenerator:
             if own.all():  # the self class alone, as in a lattice: |tB|
                 length = row_norms(shift)
             else:
-                length = row_norms(
-                    (self._cart_dst.take(pair, 0) + shift) - self._cart_src.take(pair, 0)
-                )
+                src = self._cart.take(self._pair_src.take(pair), 0)
+                dst = self._cart.take(self._pair_dst.take(pair), 0)
+                length = row_norms((dst + shift) - src)
             keep = (length > lo) & (length <= hi)
             if own.any():
                 keep &= ~own | _lex_positive_rows(t)

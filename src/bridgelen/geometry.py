@@ -20,7 +20,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,9 +36,14 @@ MOTIF_DEDUP_TOL = 1e-8
 #: Practical cap on the dimension; the algorithms are dimension-generic.
 MAX_DIM = 8
 
-#: Rows per block of the motif dedup: a block is compared with the later
-#: points at once, so its temporaries hold _BLOCK * m * n floats.
-_BLOCK = 64
+#: Candidate pairs per block of the motif check, so its temporaries hold
+#: _PAIRS * n floats whatever the tolerance.
+_PAIRS = 1 << 14
+
+#: Absolute widening of the motif check's window on the first coordinate,
+#: against the rounding of the differences there (a few 1e-16) and for a
+#: difference whose square underflows (below 1e-154).
+_WINDOW_SLACK = 1e-12
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -154,6 +159,48 @@ class LatticeBasis:
         )
 
 
+def _first_coincident_pair(arr: np.ndarray, tol: float):
+    """The first pair ``(i, j)``, i < j, in row-major order whose wrap-aware
+    difference has ``row_norms(wrapped_delta(arr[i], arr[j])) < tol``, or
+    None.
+
+    The computed norm is at least the computed |Delta_0| of the first
+    coordinate, unless Delta_0 squared underflows: every summand is a
+    square, and sqrt(fl(x * x)) is |x|.  So only the pairs within ``tol``
+    on the first axis, across the wrap or not, can pass.  One stable sort
+    of that axis finds them as two runs per point: the later points up to
+    ``tol`` above it, and those more than ``1 - tol`` above it.  The window
+    is ``tol + _WINDOW_SLACK`` wide, so no pair the exact test accepts lies
+    outside it, and the exact test runs on these candidates alone, in
+    blocks of ``_PAIRS``.
+    """
+    m = len(arr)
+    x = arr[:, 0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    width = tol + _WINDOW_SLACK
+    # sorted point a is near the points at a + 1 .. near[a] - 1, and across
+    # the wrap near those from far[a] on
+    near = np.searchsorted(xs, xs + width)
+    far = np.maximum(np.searchsorted(xs, xs + (1.0 - width), side="right"), near)
+    inside = near - np.arange(1, m + 1)
+    count = inside + (m - far)
+    end = np.cumsum(count)
+    firsts = []
+    for start in range(0, int(end[-1]), _PAIRS):
+        # candidate `index` is the k-th of sorted point a's partners
+        index = np.arange(start, min(start + _PAIRS, int(end[-1])))
+        a = np.searchsorted(end, index, side="right")
+        k = index - (end - count)[a]
+        b = np.where(k < inside[a], a + 1 + k, far[a] + k - inside[a])
+        i, j = order[a], order[b]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        hit = row_norms(wrapped_delta(arr[i], arr[j])) < tol
+        if hit.any():
+            firsts.append(int((i * m + j)[hit].min()))
+    return divmod(min(firsts), m) if firsts else None
+
+
 @dataclass(frozen=True, eq=False)
 class Motif:
     """Finite point set inside one unit cell, in fractional coordinates.
@@ -163,8 +210,9 @@ class Motif:
     row-major order is reported.  The tolerance is a wrap-aware distance in
     fractional coordinates, so whether a motif is accepted does not depend
     on the size of the cell it is placed in (see :func:`coincident`), and
-    it must be a finite number above 0.  The pairs are tested in blocks of
-    ``_BLOCK`` rows against all later points.
+    it must be a finite number above 0.  Only the pairs that one sort of
+    the first coordinate finds close there are tested; see
+    :func:`_first_coincident_pair`.
     """
 
     points: np.ndarray
@@ -180,14 +228,10 @@ class Motif:
             raise ValueError("motif coordinates must be finite")
         arr = wrap_fractional(arr)
         tol = check_tolerance(self.dedup_tol)
-        for start in range(0, arr.shape[0] - 1, _BLOCK):
-            rows = arr[start : start + _BLOCK]
-            # column c of the mask is point start + 1 + c; keep j > i only
-            hits = np.triu(coincident(rows, arr[start + 1 :], tol))
-            if hits.any():
-                r, c = np.unravel_index(np.argmax(hits), hits.shape)
-                i, j = start + int(r), start + 1 + int(c)
-                raise ValueError(f"motif points {i} and {j} coincide within {tol}")
+        pair = _first_coincident_pair(arr, tol)
+        if pair is not None:
+            i, j = pair
+            raise ValueError(f"motif points {i} and {j} coincide within {tol}")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
@@ -279,20 +323,39 @@ class CellMetrics:
     heights: tuple[float, ...]
 
 
+@lru_cache(maxsize=None)
+def _facet_rows(n: int) -> np.ndarray:
+    """(n, n-1) row indices: row i lists every basis vector but v_i."""
+    rows = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
+    rows = rows.reshape(n, n - 1)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _diagonal_signs(n: int) -> np.ndarray:
+    """(2^(n-1), 1, n-1) signs of v_1 .. v_(n-1) in each cell diagonal, in
+    ``itertools.product`` order; one (1, n-1) row per diagonal, so that the
+    stacked product with the basis rounds each diagonal as a vector-matrix
+    product does."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n - 1)))
+    signs = signs.reshape(2 ** (n - 1), 1, n - 1)
+    signs.setflags(write=False)
+    return signs
+
+
 def facet_volumes(basis: LatticeBasis) -> np.ndarray:
     """(n-1)-volume of each facet: entry i spans all basis vectors but v_i.
 
-    Computed as sqrt(det(Gram)) of the remaining vectors; for n=1 the empty
-    facet has volume 1 by convention.
+    Computed as sqrt(det(Gram)) of the remaining vectors, all n Gram
+    matrices in one stacked product and one stacked determinant; for n=1
+    the empty facet has volume 1 by convention.
     """
-    v = basis.vectors
-    n = basis.dim
-    out = np.empty(n)
-    for i in range(n):
-        rest = np.delete(v, i, axis=0)
-        gram = rest @ rest.T
-        out[i] = np.sqrt(max(float(np.linalg.det(gram)), 0.0)) if n > 1 else 1.0
-    return out
+    if basis.dim == 1:
+        return np.ones(1)
+    rest = basis.vectors[_facet_rows(basis.dim)]
+    gram = rest @ rest.transpose(0, 2, 1)
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
 def facet_heights(basis: LatticeBasis) -> np.ndarray:
@@ -314,13 +377,10 @@ def cell_metrics(basis: LatticeBasis) -> CellMetrics:
         b = float(np.max(row_norms(v)))
         # Diagonals are all signed sums of basis vectors; fixing the first sign
         # halves the (symmetric) enumeration.
-        d = 0.0
-        rest = v[1:]
-        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
-            diag = v[0] + (np.asarray(signs) @ rest if n > 1 else 0.0)
-            d = max(d, float(row_norms(diag)))
+        diagonals = v[0] + (_diagonal_signs(n) @ v[1:])[:, 0]
+        d = float(np.max(row_norms(diagonals)))
         vol = abs(float(np.linalg.det(v)))
-        heights = facet_heights(basis)
+        heights = vol / facet_volumes(basis)
         h = float(np.min(heights))
         r_upper = max(b, d / 2.0)
         return CellMetrics(

@@ -140,11 +140,17 @@ def _parse_number(value: str, line: int) -> float:
     return float(m.group(1))
 
 
+def _as_text(text) -> str:
+    """``text`` as a str without one leading byte-order mark: an editor's
+    BOM would otherwise stick to the first token."""
+    if isinstance(text, (bytes, bytearray)):
+        return bytes(text).decode("utf-8-sig")
+    return text.removeprefix("\ufeff")
+
+
 def parse_cif(text) -> CrystalDocument:
     """Parse the first data block of a CIF into a :class:`CrystalDocument`."""
-    if isinstance(text, (bytes, bytearray)):
-        text = bytes(text).decode("utf-8")
-    tokens = _tokenize(text)
+    tokens = _tokenize(_as_text(text))
 
     block_starts = [
         i
@@ -417,10 +423,8 @@ def _finite_number(x) -> bool:
 
 def parse_json_set(text) -> PeriodicSet:
     """Parse the JSON set format; schema violations raise ParseError."""
-    if isinstance(text, (bytes, bytearray)):
-        text = bytes(text).decode("utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(_as_text(text))
     except ValueError as exc:  # also integers longer than Python converts
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -476,7 +480,8 @@ def read_set_file(
                 f"cannot infer format of {p.name!r}; pass --format cif|json"
             )
     try:
-        text = p.read_text(encoding="utf-8")
+        # bytes: the parsers decode them and drop one leading BOM
+        text = p.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     if fmt == "cif":

@@ -69,6 +69,15 @@ def slab_19() -> PeriodicSet:
     return make_set([[7.0, 0.0, 0.0], [0.4, 7.3, 0.0], [0.3, -0.2, 1.1]], frac)
 
 
+def sheared_bcc(reach: float) -> PeriodicSet:
+    """BCC, (0,0,0) and (1/2,1/2,1/2), on the sheared Z^3 basis with rows
+    (1,0,0), (0,1,0), (reach,reach,1): the same set for every reach, in a
+    cell whose aspect grows as reach squared."""
+    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [reach, reach, 1.0]])
+    frac = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]) @ np.linalg.inv(basis)
+    return make_set(basis, frac)
+
+
 def random_basis(rng: np.random.Generator, n: int, max_aspect: float = 2.5):
     """Well-conditioned random basis: random rotation of a mildly sheared,
     mildly anisotropic cell, at a random overall scale."""

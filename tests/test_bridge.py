@@ -20,7 +20,9 @@ from bridgelen import (
     spans_lattice,
 )
 
-from conftest import make_set, random_set
+from bridgelen import edges as edges_module
+
+from conftest import make_set, random_set, sheared_bcc
 
 
 def doubled_cell(pset: PeriodicSet) -> PeriodicSet:
@@ -235,6 +237,31 @@ class TestBoundsAndInvariances:
             report = bridge_length(pset)
             cap = math.ceil(cell_metrics(pset.basis).aspect) + 1
             assert report.shells_enumerated <= cap
+
+
+class TestShearedBccLadder:
+    """One set in ever more sheared cells: beta stays sqrt(3)/2, and the
+    shells and decoded rows the stream needs are pinned as upper bounds
+    (counts, not times, so they cannot flake)."""
+
+    @pytest.mark.parametrize(
+        "reach, shells, rows",
+        [(10, 10, 2525), (30, 27, 19661), (70, 62, 105901), (150, 131, 476845)],
+    )
+    def test_beta_shells_and_decoded_rows(self, monkeypatch, reach, shells, rows):
+        decoded = []
+        real = edges_module._decode
+
+        def counting(index, *args):
+            decoded.append(len(index))
+            return real(index, *args)
+
+        monkeypatch.setattr(edges_module, "_decode", counting)
+        report = bridge_length(sheared_bcc(reach))
+        assert report.beta.hex() == "0x1.bb67ae8584caap-1"
+        assert report.shells_enumerated == shells
+        assert report.edges_examined == 5
+        assert sum(decoded) <= rows
 
 
 class TestMstLongestEdge:

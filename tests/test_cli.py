@@ -9,7 +9,11 @@ from click.testing import CliRunner
 
 import bridgelen.cli as cli_mod
 from bridgelen.cli import main
+from bridgelen import write_json_set
 from bridgelen.errors import OracleInconclusive
+from bridgelen.oracle import PATCH_CAP
+
+from conftest import sheared_bcc
 
 
 @pytest.fixture()
@@ -153,6 +157,19 @@ def test_verify_inconclusive_exits_4(runner, fixtures_dir, monkeypatch):
     monkeypatch.setattr(cli_mod, "oracle_bridge_length", boom)
     result = runner.invoke(main, ["compute", str(fixtures_dir / "z2.json"), "--verify"])
     assert result.exit_code == 4
+
+
+def test_verify_on_a_high_aspect_cell_exits_4_at_once(runner, tmp_path):
+    # aspect 3.2e4: the oracle's patch would hold 4e15 points, so it
+    # refuses up front instead of never returning
+    path = tmp_path / "sheared_bcc.json"
+    path.write_text(write_json_set(sheared_bcc(150)))
+    plain = runner.invoke(main, ["compute", str(path)])
+    assert plain.exit_code == 0
+    assert "0.866025" in plain.output
+    result = runner.invoke(main, ["compute", str(path), "--verify"])
+    assert result.exit_code == 4
+    assert f"over the cap of {PATCH_CAP}" in result.stderr
 
 
 class TestBatch:

@@ -17,7 +17,14 @@ from bridgelen import (
     cell_metrics,
     facet_heights,
 )
-from bridgelen.geometry import _BLOCK, wrap_fractional, wrapped_delta
+from bridgelen import geometry
+from bridgelen.geometry import (
+    CellMetrics,
+    _float_range,
+    row_norms,
+    wrap_fractional,
+    wrapped_delta,
+)
 
 from conftest import make_set, random_basis
 
@@ -37,6 +44,39 @@ def brute_force_facet_volume(vectors: np.ndarray, drop: int) -> float:
     if rest.shape[0] == 0:
         return 1.0
     return math.sqrt(np.linalg.det(rest @ rest.T))
+
+
+def loop_cell_metrics(basis: LatticeBasis) -> CellMetrics:
+    """Reference: the cell metrics as one loop step per diagonal and per
+    facet, the form the stacked array calls must match bit for bit."""
+    v = basis.vectors
+    n = basis.dim
+    with _float_range(v):
+        b = float(np.max(row_norms(v)))
+        d = 0.0
+        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+            diag = v[0] + (np.asarray(signs) @ v[1:] if n > 1 else 0.0)
+            d = max(d, float(row_norms(diag)))
+        vol = abs(float(np.linalg.det(v)))
+        volumes = np.empty(n)
+        for i in range(n):
+            rest = np.delete(v, i, axis=0)
+            gram = rest @ rest.T
+            volumes[i] = np.sqrt(max(float(np.linalg.det(gram)), 0.0)) if n > 1 else 1.0
+        heights = vol / volumes
+        h = float(np.min(heights))
+        r_upper = max(b, d / 2.0)
+        return CellMetrics(b, d, vol, h, r_upper, r_upper / h, tuple(heights.tolist()))
+
+
+def metrics_or_error(basis: LatticeBasis, fn):
+    """Every field of ``fn(basis)`` by ``float.hex``, or the DegenerateCell
+    message."""
+    try:
+        m = fn(basis)
+    except DegenerateCell as exc:
+        return str(exc)
+    return [x.hex() for x in (m.b, m.d, m.vol, m.h, m.r_upper, m.aspect, *m.heights)]
 
 
 class TestCellMetrics:
@@ -128,6 +168,38 @@ class TestCellMetrics:
                 )
             assert m2.aspect == pytest.approx(m1.aspect, rel=1e-12)
 
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(-170.0, 170.0),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_form_bit_for_bit(self, n, seed, exponent, coarse):
+        # random shapes at scales from 1e-170 to 1e170: past about 1e+-22
+        # (n = 8) to 1e+-77 (n = 3) the metrics leave the float range, and
+        # the same bases must still raise DegenerateCell
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n, n))
+        if coarse:  # exact entries, so sums of diagonals tie
+            vectors = np.round(vectors * 4) / 4
+        try:
+            basis = LatticeBasis(vectors * 10.0**exponent)
+        except (DegenerateCell, ValueError):
+            return
+        assert metrics_or_error(basis, cell_metrics) == metrics_or_error(
+            basis, loop_cell_metrics
+        )
+
+    @pytest.mark.parametrize(
+        "n, scale", [(3, 1e80), (3, 1e-80), (8, 1e25), (8, 1e-25), (4, 1e60)]
+    )
+    def test_cells_outside_the_float_range_still_raise(self, n, scale):
+        basis = LatticeBasis(np.eye(n) * scale)
+        for fn in (cell_metrics, loop_cell_metrics):
+            with pytest.raises(DegenerateCell, match="outside the floating-point range"):
+                fn(basis)
+
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -187,18 +259,11 @@ class TestMotif:
 
     @staticmethod
     def assert_first_pair(pts, tol):
-        # reference: the per-pair loop, one norm per pair in row-major order
+        # reference: every pair's norm, the first hit in row-major order
         arr = wrap_fractional(pts)
-        m = len(arr)
-        first = next(
-            (
-                (i, j)
-                for i in range(m)
-                for j in range(i + 1, m)
-                if np.linalg.norm(wrapped_delta(arr[i], arr[j])) < tol
-            ),
-            None,
-        )
+        dist = np.linalg.norm(wrapped_delta(arr[:, None], arr[None]), axis=-1)
+        hits = np.argwhere(np.triu(dist < tol, k=1))
+        first = tuple(int(x) for x in hits[0]) if len(hits) else None
         if first is None:
             assert np.array_equal(Motif(pts, dedup_tol=tol).points, arr)
         else:
@@ -216,20 +281,65 @@ class TestMotif:
             self.assert_first_pair(pts, tol)
 
     def test_matches_pairwise_reference_beyond_one_block(self):
-        # more points than one block of rows; a planted near pair (i, j)
-        # lands in any block, including past the first block's rows
+        # more than 64 points; a planted near pair (i, j) lands anywhere,
+        # including past the first 64 rows
         rng = np.random.default_rng(32)
         tol = 0.004
         firsts = []
         for _ in range(16):
-            m = int(rng.integers(_BLOCK + 2, 2 * _BLOCK + 40))
+            m = int(rng.integers(64 + 2, 2 * 64 + 40))
             pts = rng.random((m, 3))
             if rng.random() < 0.75:
                 i, j = sorted(rng.choice(m, 2, replace=False))
                 pts[j] = pts[i] + rng.normal(0, tol / 4, 3) + rng.integers(-1, 2, 3)
             firsts.append(self.assert_first_pair(pts, tol))
         assert None in firsts
-        assert any(f is not None and f[0] >= _BLOCK for f in firsts)
+        assert any(f is not None and f[0] >= 64 for f in firsts)
+
+    @given(
+        st.integers(2, 300),
+        st.integers(1, 4),
+        st.floats(-12.0, math.log10(0.45)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["wrap", "ties", "near", "all"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_reference_where_the_sort_can_go_wrong(
+        self, m, n, log_tol, seed, kind
+    ):
+        # the check sorts the first coordinate and tests a window there:
+        # draw points on both sides of its wrap, ties in it, and planted
+        # near-duplicates from 1e-12 to 1e-3 apart, at tolerances from
+        # 1e-12 to 0.45
+        rng = np.random.default_rng(seed)
+        pts = rng.random((m, n))
+        if kind in ("wrap", "all"):
+            side = rng.random(m) < 0.4
+            pts[side, 0] = rng.choice([0.0, 1.0 - 1e-12], int(side.sum()))
+        if kind in ("ties", "all"):
+            pts[:, 0] = rng.choice(pts[: max(1, m // 8), 0], m)
+        if kind in ("near", "all"):
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = rng.choice(m, 2, replace=False)
+                step = rng.normal(size=n)
+                step *= 10.0 ** rng.uniform(-12, -3) / np.linalg.norm(step)
+                pts[j] = pts[i] + step + rng.integers(-1, 2, n)
+        self.assert_first_pair(pts, 10.0**log_tol)
+
+    def test_coincidence_across_the_wrap_of_the_sorted_axis(self):
+        pts = [[0.3, 0.5], [0.0, 0.25], [0.7, 0.5], [1.0 - 1e-12, 0.25]]
+        with pytest.raises(ValueError, match="motif points 1 and 3 "):
+            Motif(pts, dedup_tol=1e-11)
+        assert Motif(pts, dedup_tol=1e-13).size == 4
+
+    def test_first_pair_with_candidates_over_many_blocks(self, monkeypatch):
+        # a wide tolerance makes most pairs candidates; tiny blocks put the
+        # first pair in a late block and its rivals on both sides of it
+        monkeypatch.setattr(geometry, "_PAIRS", 7)
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            pts = rng.random((int(rng.integers(2, 60)), 2))
+            self.assert_first_pair(pts, float(rng.uniform(0.01, 0.45)))
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, float("inf")])
     def test_rejects_bad_tolerance(self, tol):

@@ -479,3 +479,54 @@ class TestJsonRoundTrip:
             parse_json_set(
                 '{"dim": 2, "basis": [[1,0],[1,0]], "motif_fractional": [[0,0]]}'
             )
+
+
+BOM = "\ufeff"
+
+
+def _bom_inputs(text: str, tmp_path, suffix: str):
+    """The same BOM-prefixed document as a str, as bytes and as a file."""
+    path = tmp_path / f"doc{suffix}"
+    path.write_bytes((BOM + text).encode("utf-8"))
+    return BOM + text, (BOM + text).encode("utf-8"), path
+
+
+class TestByteOrderMark:
+    """One leading byte-order mark, as some editors write, is ignored."""
+
+    def test_one_block_cif_keeps_its_name(self, tmp_path):
+        as_str, as_bytes, path = _bom_inputs(CUBE_CIF, tmp_path, ".cif")
+        for text in (as_str, as_bytes):
+            doc = parse_cif(text)
+            assert doc.name == "cube"
+            assert doc.cell_lengths == (1.0, 1.0, 1.0)
+        pset, ident = read_set_file(path)
+        assert ident == "cube"
+        assert pset == to_periodic_set(parse_cif(CUBE_CIF))
+
+    def test_two_block_cif_is_parsed_from_its_first_block(self, tmp_path):
+        two = cif_text(a=1.0).replace("data_test", "data_first") + cif_text(
+            a=2.0
+        ).replace("data_test", "data_second")
+        as_str, as_bytes, path = _bom_inputs(two, tmp_path, ".cif")
+        for text in (as_str, as_bytes):
+            doc = parse_cif(text)
+            assert doc.name == "first"
+            assert doc.cell_lengths[0] == 1.0
+        pset, ident = read_set_file(path)
+        assert ident == "first"
+        assert pset.basis.vectors[0, 0] == 1.0
+
+    def test_json_set_parses(self, tmp_path, z2):
+        text = write_json_set(z2)
+        as_str, as_bytes, path = _bom_inputs(text, tmp_path, ".json")
+        assert parse_json_set(as_str) == z2
+        assert parse_json_set(as_bytes) == z2
+        assert read_set_file(path) == (z2, "doc")
+
+    def test_only_one_mark_is_dropped(self, tmp_path, z2):
+        text = BOM + write_json_set(z2)
+        for doubled in _bom_inputs(text, tmp_path, ".json")[:2]:
+            with pytest.raises(ParseError, match="invalid JSON"):
+                parse_json_set(doubled)
+        assert parse_cif(BOM + BOM + CUBE_CIF).name != "cube"
