@@ -65,6 +65,26 @@ the yield order, and the shells built before each yield, are those of a
 single band up to ``max_length``.  A consumer that stops after an edge of
 length L has had only the edges up to max(H_0, 2 L) buffered and sorted.
 
+Shells, boxes and the release bound are those of a *reduced cell* when
+it is better shaped.  :func:`~bridgelen.geometry.reduce_basis` gives a
+unimodular U, and the cell B' = U B (built exactly by
+:func:`~bridgelen.geometry.change_basis`) is used when its aspect is
+strictly smaller than the input cell's; otherwise U = I, w = 0 and
+everything here is the input cell's.  In B' the motif is re-wrapped as
+f' = f U^-1 - w, w the integer floor, and the heights, the face legs
+alpha / beta (less a bound on the rounding of f'), the pair boxes, the
+shells and the release bound are built from f' and B'.  Every block's
+rows are mapped back, t = (t' + w_src - w_dst) U, before anything reads
+them: the length is the input cell's expression on the input Cartesian
+motif and basis, and the self-class test and the yield key use the input
+t.  So every length and key is the input cell's, bit for bit, and so is
+the order wherever the release bounds are exact; only the shells built
+differ.  The horizon r_upper, the working horizon and the box slack stay
+the input cell's (see ``_set_boxes``).  A stream read up to the bridge
+length builds at most ceil(reduced aspect) + 1 shells: the release bound
+after sigma shells is at least (sigma - 1) h'_min, and the bridge length
+is at most the reduced cell's r_upper as well.
+
 A generator is single-owner mutable state; distinct generators are
 independent.
 """
@@ -77,7 +97,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import PeriodicSet, cell_metrics, row_norms
+from .errors import DegenerateCell
+from .geometry import PeriodicSet, cell_metrics, change_basis, reduce_basis, row_norms
 
 #: Relative slack applied to the default r_upper horizon so an edge exactly
 #: at the bound survives float rounding.
@@ -210,6 +231,44 @@ def _lex_positive_rows(t: np.ndarray) -> np.ndarray:
     return t[np.arange(len(t)), first] > 0
 
 
+def _reduced_cell(pset: PeriodicSet):
+    """The LLL-reduced cell U B of ``pset`` and its motif there, or None
+    if the basis is reduced already (up to the order and signs of its
+    rows) or U^-1 or the cell's metrics cannot be had exactly.
+
+    Returns ``(metrics, u, frac, wrap, slack)``: the metrics of U B; U;
+    the motif re-wrapped as f' = f U^-1 - w, w = floor(f U^-1); the
+    integers w as an (m + 1, n) float array whose last row, for the
+    stream's extra zero point, is 0; and ``slack``, a bound on the
+    rounding of each entry of f'.  U^-1 is the float inverse rounded to
+    integers, used only if it is the exact inverse.  Entry k of f U^-1
+    sums n products of |f_l| < 1 with integers, so it rounds by at most
+    (n + 1) eps sum_l |f_l U^-1_lk|, and subtracting the integer w is
+    exact.
+    """
+    n = pset.dim
+    u = reduce_basis(pset.basis.vectors)
+    if np.count_nonzero(u) == n:  # a signed permutation: the same cell
+        return None
+    inverse = np.rint(np.linalg.inv(u)).astype(np.int64)
+    if not (inverse @ u == np.eye(n, dtype=np.int64)).all():
+        return None
+    try:
+        metrics = cell_metrics(change_basis(pset.basis, u))
+    except DegenerateCell:
+        return None
+    points = pset.motif.points
+    image = points @ inverse
+    wrap = np.floor(image)
+    frac = image - wrap
+    # a tiny negative coordinate minus its floor -1 rounds to 1.0: fold
+    fold = frac >= 1.0
+    frac[fold] = 0.0
+    wrap[fold] += 1.0
+    slack = (n + 1) * np.finfo(float).eps * (np.abs(points) @ np.abs(inverse))
+    return metrics, u, frac, np.concatenate([wrap, np.zeros((1, n))]), slack
+
+
 def _yield_order(length, source, dest, translation) -> np.ndarray:
     """Permutation putting the rows in (length, source, dest, translation)
     order.
@@ -252,10 +311,16 @@ class EdgeGenerator:
         self._basis = pset.basis.vectors
         cart = pset.cartesian_motif
         self.metrics = cell_metrics(pset.basis)
-        heights = np.array(self.metrics.heights)
-        frac = pset.motif.points
-        to_high_face = (1.0 - frac).min(axis=0)  # min over motif, per axis
-        to_low_face = frac.min(axis=0)
+        # the cell whose shells are built: the input's, or a reduced one
+        self._cell, self._unimodular = self.metrics, None
+        frac, slack = pset.motif.points, 0.0
+        reduced = _reduced_cell(pset)
+        if reduced is not None and reduced[0].aspect < self.metrics.aspect:
+            self._cell, u, frac, self._wrap, slack = reduced
+            self._unimodular = u.astype(float)
+        heights = np.array(self._cell.heights)
+        to_high_face = (1.0 - frac - slack).min(axis=0)  # min over motif, per axis
+        to_low_face = (frac - slack).min(axis=0)
         self._heights = heights
         self._alpha_h = to_high_face * heights
         self._beta_h = to_low_face * heights
@@ -362,17 +427,24 @@ class EdgeGenerator:
         The edge x = (f_j - f_i + t) B of pair (i, j) has |x| >= |f_jk -
         f_ik + t_k| h_k on every axis k, h_k being the cell height over
         facet k, so a class no longer than hi has t_k in [-r_k - Delta_k,
-        r_k - Delta_k] with Delta = f_j - f_i and r_k = hi / h_k.  The
-        computed length rounds (c_j + tB) - c_i, c being Cartesian motif
-        points, so it can fall below |x| by a few ulps of |c_j| + |tB| +
-        |c_i| <= |x| + 2 (|c_j| + |c_i|).  So r_k is widened by _BOX_SLACK
-        relative to hi plus n b, b the longest basis vector, which bounds
-        every |c|; the relative part also covers the rounding of the
-        heights and of Delta.
+        r_k - Delta_k] with Delta = f_j - f_i and r_k = hi / h_k.  All of
+        this is in the cell whose shells are built, the reduced one if
+        any.  The computed length rounds the input cell's (c_j + tB) -
+        c_i, c being Cartesian motif points, so it can fall below |x| by a
+        few ulps of |c_j| + |tB| + |c_i| <= |x| + 2 (|c_j| + |c_i|).  So
+        r_k is widened by _BOX_SLACK relative to hi plus n b, b the
+        longest input basis vector, which bounds every |c|; the relative
+        part also covers the rounding of the heights and of Delta.  In a
+        reduced cell the heights are those of B' rounded entrywise once,
+        and f' = f U^-1 - w rounds by at most (n + 1) eps sum_l |U^-1_lk|
+        on axis k.  Each |U^-1_lk| <= b / h_k, because U^-1_lk is the
+        coefficient of b'_k in the input vector b_l and b'_k's dual vector
+        has length 1 / h_k; so that rounding, times h_k, is below
+        2 (n + 1) n eps b, far inside the _BOX_SLACK n b term.
         """
         reach = hi * (1.0 + _BOX_SLACK) + _BOX_SLACK * self._n * self.metrics.b
         # python floats: an infinite or huge horizon gives no warning
-        radius = [min(reach / h, _BOX_CAP) for h in self.metrics.heights]
+        radius = [min(reach / h, _BOX_CAP) for h in self._cell.heights]
         # one axis at a time on 1-D columns, a block of pairs at a time, so
         # no (pairs, n) float array is held
         pairs = len(self._pair_src)
@@ -417,11 +489,17 @@ class EdgeGenerator:
         live = self._live[hit]
         for t, box in _shell_blocks(self._box_lo[hit], self._box_up[hit], s, _BLOCK):
             pair = live[box]
+            if self._unimodular is not None:
+                t = self._input_translations(t, pair)
             # a stacked (1, n) @ (n, n) product rounds each row as the
             # product for one translation does; a (rows, n) @ (n, n)
             # product rounds differently for n >= 4, which would make
-            # lengths depend on the block size.  Shell 0's is exactly 0.0.
-            shift = 0.0 if s == 0 else (t[:, None, :].astype(float) @ self._basis)[:, 0]
+            # lengths depend on the block size.  Shell 0 of the input
+            # cell shifts by exactly 0.0.
+            if s == 0 and self._unimodular is None:
+                shift = 0.0
+            else:
+                shift = (t[:, None, :].astype(float) @ self._basis)[:, 0]
             own = pair == self._self_pair
             if own.all():  # the self class alone, as in a lattice: |tB|
                 length = row_norms(shift)
@@ -436,6 +514,14 @@ class EdgeGenerator:
                 keep &= ~own
             pair = pair[keep]
             yield length[keep], self._pair_src[pair], self._pair_dst[pair], t[keep]
+
+    def _input_translations(self, t: np.ndarray, pair) -> np.ndarray:
+        """Reduced-cell translations ``t`` of the rows of ``pair`` mapped to
+        the input cell: (t + w_src - w_dst) U, w being the wrap offsets."""
+        wrap = self._wrap.take(self._pair_src.take(pair), 0)
+        wrap -= self._wrap.take(self._pair_dst.take(pair), 0)
+        # a float product of integers below 2^53 is exact, and faster
+        return ((t + wrap) @ self._unimodular).astype(np.int32)
 
     def _self_rows(self, length: np.ndarray, t: np.ndarray):
         """Self-class rows: each translation t, from every motif point to

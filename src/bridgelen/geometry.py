@@ -12,6 +12,9 @@ The cell scalars computed by :func:`cell_metrics` bound the bridge-length
 computation: ``r_upper = max(b, d/2)`` is an upper bound on the bridge
 length of any set with this cell, and the aspect ratio ``r_upper / h``
 bounds how many shells of neighbouring cells the edge stream must visit.
+:func:`reduce_basis` finds an LLL-reduced basis of the same lattice, whose
+aspect is often far smaller than that of a sheared input cell, and
+:func:`change_basis` builds it exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +42,19 @@ MAX_DIM = 8
 #: Candidate pairs per block of the motif check, so its temporaries hold
 #: _PAIRS * n floats whatever the tolerance.
 _PAIRS = 1 << 14
+
+#: Lovasz constant of :func:`reduce_basis`.
+LLL_DELTA = 0.75
+
+#: Tolerance of :func:`reduce_basis` on its two conditions, so that a
+#: coefficient of exactly 1/2 (a hexagonal cell) or an exact Lovasz
+#: equality, computed a few ulps off, is taken as reduced instead of making
+#: the reduction step back and forth.
+_LLL_TOL = 1e-9
+
+#: Most steps :func:`reduce_basis` takes; each swap lowers a positive
+#: potential, so this is only a guard against rounding.
+_LLL_STEPS = 10_000
 
 #: Absolute widening of the motif check's window on the first coordinate,
 #: against the rounding of the differences there (a few 1e-16) and for a
@@ -392,3 +408,120 @@ def cell_metrics(basis: LatticeBasis) -> CellMetrics:
             aspect=r_upper / h,
             heights=tuple(heights.tolist()),
         )
+
+
+def _is_reduced(gram: list) -> bool:
+    """Whether the basis with Gram matrix ``gram`` (nested lists) meets
+    both LLL conditions, each to a relative ``_LLL_TOL``.
+
+    Gram-Schmidt from the Gram matrix, in Python floats: for the small n
+    here it is a few dozen products, cheaper than one array call.  Row k
+    of ``dots`` holds <b_k, b*_j> = mu_kj |b*_j|^2.  It squares the
+    condition number, which only a basis far from reduced has, and such a
+    basis fails the test anyway or is reduced for nothing.
+    """
+    dots, norm2 = [], []
+    delta = LLL_DELTA * (1.0 - _LLL_TOL)
+    for k, row in enumerate(gram):
+        dots_k = []
+        for j in range(k):
+            x = row[j]
+            for i in range(j):
+                x -= dots_k[i] * dots[j][i] / norm2[i]
+            if abs(x) > (0.5 + _LLL_TOL) * norm2[j]:
+                return False
+            dots_k.append(x)
+        x = row[k]
+        for i in range(k):
+            x -= dots_k[i] * dots_k[i] / norm2[i]
+        # Lovasz: |b*_k|^2 + mu^2 |b*_k-1|^2 >= delta |b*_k-1|^2
+        if k and x + dots_k[-1] ** 2 / norm2[-1] < delta * norm2[-1]:
+            return False
+        dots.append(dots_k)
+        norm2.append(x)
+    return True
+
+
+def _by_length(gram: list) -> list:
+    """``gram`` with its rows and columns in order of row length."""
+    order = sorted(range(len(gram)), key=lambda i: gram[i][i])
+    return [[gram[i][j] for j in order] for i in order]
+
+
+def reduce_basis(vectors) -> np.ndarray:
+    """Unimodular integer U, as int64, with the rows of ``U @ vectors`` an
+    LLL-reduced basis (delta = 3/4) of the lattice of ``vectors``, up to
+    their order.
+
+    The basis is scaled by the power of two of its largest entry first, so
+    that its longest vector has length between 1/2 and sqrt(n) and the
+    Gram-Schmidt squares neither overflow nor underflow, whatever the
+    length unit.  The two LLL conditions, size reduction |mu_kj| <= 1/2
+    and the Lovasz condition |b*_k|^2 >= (delta - mu_k,k-1^2) |b*_k-1|^2,
+    are tested on the Gram matrix (:func:`_is_reduced`), and again on the
+    rows sorted by length if they fail.  A basis that passes gets the
+    identity from that test alone: reordering its rows would give the same
+    cell.  Otherwise the textbook reduction (Lenstra, Lenstra & Lovasz,
+    Math. Ann. 261, 1982) runs on the scaled rows in floats, applying every
+    row operation to U as well: U is exact whatever the rounding, and only
+    how well ``U @ vectors`` is reduced depends on it.
+    """
+    basis = np.asarray(vectors, dtype=float)
+    n = len(basis)
+    basis = np.ldexp(basis, -math.frexp(float(np.abs(basis).max()))[1])
+    gram = (basis @ basis.T).tolist()
+    if _is_reduced(gram) or _is_reduced(_by_length(gram)):
+        return np.eye(n, dtype=np.int64)
+    # Python lists: a few dozen short dot products, cheaper than array
+    # calls at this size; U in Python integers, which cannot overflow
+    b = basis.tolist()
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    star, norm2 = [None] * n, [0.0] * n  # Gram-Schmidt rows, squared norms
+
+    def orthogonalise(k):
+        v = b[k]
+        for j in range(k):
+            c = sum(x * y for x, y in zip(star[j], v)) / norm2[j]
+            v = [x - c * y for x, y in zip(v, star[j])]
+        star[k], norm2[k] = v, sum(x * x for x in v)
+
+    orthogonalise(0)
+    k, steps = 1, 0
+    while k < n and steps < _LLL_STEPS:
+        steps += 1
+        for j in range(k - 1, -1, -1):
+            c = sum(x * y for x, y in zip(star[j], b[k])) / norm2[j]
+            if abs(c) > 0.5 + _LLL_TOL:
+                q = round(c)
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+        orthogonalise(k)
+        c = sum(x * y for x, y in zip(star[k - 1], b[k])) / norm2[k - 1]
+        if norm2[k] < (LLL_DELTA * (1.0 - _LLL_TOL) - c * c) * norm2[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            orthogonalise(k - 1)
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return np.array(u, dtype=np.int64)
+
+
+def change_basis(basis: LatticeBasis, u) -> LatticeBasis:
+    """The basis with rows ``u @ basis.vectors``, ``u`` an integer
+    unimodular matrix: another basis of the same lattice.
+
+    Each entry is the exact sum, over a common power-of-two denominator of
+    the input entries in Python integers, rounded once.  A plain float
+    product would round each term: a reduced vector of a long sheared
+    basis is a short difference of long ones, and it would carry an error
+    of about aspect * eps relative to its length into the reduced heights.
+    """
+    ratios = [[x.as_integer_ratio() for x in col] for col in basis.vectors.T.tolist()]
+    # every denominator is a power of two, so the largest is their multiple
+    den = max(d for col in ratios for _, d in col)
+    cols = [[a * (den // d) for a, d in col] for col in ratios]
+    rows = np.asarray(u).tolist()
+    return LatticeBasis(
+        [[sum(x * y for x, y in zip(row, col)) / den for col in cols] for row in rows]
+    )

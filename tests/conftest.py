@@ -95,6 +95,21 @@ def random_basis(rng: np.random.Generator, n: int, max_aspect: float = 2.5):
             return basis
 
 
+def random_unimodular(
+    rng: np.random.Generator, n: int, steps: int = 3, reach: int = 4
+):
+    """A product of ``steps`` elementary shears with entries up to
+    +-``reach``, times a random signed permutation."""
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.choice(n, size=2, replace=False)
+        step = np.eye(n, dtype=np.int64)
+        step[i, j] = rng.integers(-reach, reach + 1)
+        u = step @ u
+    signs = rng.choice([-1, 1], size=n)
+    return (u * signs[:, None])[rng.permutation(n)]
+
+
 def random_motif(rng: np.random.Generator, n: int, m: int, min_sep: float = 5e-2):
     """m random fractional points, pairwise wrap-separated by min_sep."""
     while True:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelen import (
     DegenerateCell,
@@ -21,8 +23,14 @@ from bridgelen import (
 )
 
 from bridgelen import edges as edges_module
+from bridgelen.geometry import change_basis, reduce_basis
 
-from conftest import make_set, random_set, sheared_bcc
+from conftest import make_set, random_set, random_unimodular, sheared_bcc
+
+
+def identity(vectors):
+    """Stand-in for ``reduce_basis`` that keeps every input cell."""
+    return np.eye(len(vectors), dtype=np.int64)
 
 
 def doubled_cell(pset: PeriodicSet) -> PeriodicSet:
@@ -158,20 +166,24 @@ class TestBoundsAndInvariances:
                     c * beta, rel=1e-12
                 )
 
-    def test_half_scale_a7(self):
-        # Halving a basis is exact, so beta halves exactly.  The stream
-        # still needs a third shell at half scale: the height-projected
-        # release bound after two shells rounds to 2 ulps above sqrt(2)
-        # for A7, but to 4 ulps below sqrt(2)/2 for the halved cell, so
-        # the shortest edges wait for shell 2.
+    def test_half_scale_a7(self, monkeypatch):
+        # Halving a basis is exact, so beta halves exactly.  In the input
+        # cell the stream needs a third shell at half scale: the
+        # height-projected release bound after two shells rounds to 2 ulps
+        # above sqrt(2) for A7, but to 4 ulps below sqrt(2)/2 for the
+        # halved cell, so the shortest edges wait for shell 2.  The
+        # LLL-reduced cell has a smaller aspect, and its shells are built
+        # instead: there two shells do at both scales.
         n = 7
         cartan = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         a7 = make_set(np.linalg.cholesky(cartan), np.zeros((1, n)))
-        full = bridge_length(a7)
-        half = bridge_length(a7.scale(0.5))
-        assert half.beta == 0.5 * full.beta
-        assert full.shells_enumerated == 2
-        assert half.shells_enumerated == 3
+        for reduce, shells in ((edges_module.reduce_basis, 2), (identity, 3)):
+            monkeypatch.setattr(edges_module, "reduce_basis", reduce)
+            full = bridge_length(a7)
+            half = bridge_length(a7.scale(0.5))
+            assert half.beta == 0.5 * full.beta
+            assert full.shells_enumerated == 2
+            assert half.shells_enumerated == shells
 
     @pytest.mark.parametrize("n", [3, 8])
     @pytest.mark.parametrize("k", [20, 25, 50, 90, 100, 150, 160, 200])
@@ -239,14 +251,39 @@ class TestBoundsAndInvariances:
             assert report.shells_enumerated <= cap
 
 
+class TestChangeOfBasis:
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_beta_invariant_and_shells_within_reduced_aspect(self, n, m, seed):
+        # the same set in another basis, U B Q for a random unimodular U
+        # and a random rotation Q: beta agrees to rounding (the lengths
+        # round in a different input cell), and the stream builds no more
+        # shells than the reduced cell's aspect allows
+        rng = np.random.default_rng(seed)
+        pset = random_set(rng, n=n, m=m)
+        u = random_unimodular(rng, n, steps=4)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        moved = PeriodicSet(
+            LatticeBasis(u @ pset.basis.vectors @ q),
+            Motif(pset.motif.points @ np.linalg.inv(u)),
+        )
+        report = bridge_length(moved)
+        assert report.beta == pytest.approx(bridge_length(pset).beta, rel=1e-12)
+        reduced = change_basis(moved.basis, reduce_basis(moved.basis.vectors))
+        assert report.shells_enumerated <= math.ceil(cell_metrics(reduced).aspect) + 1
+
+
 class TestShearedBccLadder:
     """One set in ever more sheared cells: beta stays sqrt(3)/2, and the
     shells and decoded rows the stream needs are pinned as upper bounds
-    (counts, not times, so they cannot flake)."""
+    (counts, not times, so they cannot flake).  Every rung is built in its
+    LLL-reduced cell, plain BCC, so the counts no longer grow with the
+    reach; in the input cell reach 150 took 131 shells and 476 845 rows,
+    and reach 1000 would take hundreds of shells."""
 
     @pytest.mark.parametrize(
         "reach, shells, rows",
-        [(10, 10, 2525), (30, 27, 19661), (70, 62, 105901), (150, 131, 476845)],
+        [(10, 2, 52), (30, 2, 52), (70, 2, 52), (150, 2, 52), (1000, 2, 52)],
     )
     def test_beta_shells_and_decoded_rows(self, monkeypatch, reach, shells, rows):
         decoded = []

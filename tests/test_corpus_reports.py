@@ -10,7 +10,8 @@ alone must leave this file passing; a failure names the structures whose
 report moved.
 
 Regenerate the fixture, after a change that is meant to move reports,
-with ``PYTHONPATH=src python tests/test_corpus_reports.py``.
+with ``PYTHONPATH=src python tests/test_corpus_reports.py``; it prints,
+per workload, how many structures' digests changed and their names.
 """
 
 import hashlib
@@ -78,5 +79,10 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus as _corpus
 
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     pins = {w: corpus_digests(_corpus, w) for w in WORKLOADS}
+    for w in WORKLOADS:
+        before = old.get(w, {})
+        changed = sorted(n for n, d in pins[w].items() if before.get(n) != d)
+        print(f"{w}: {len(changed)} changed" + "".join(f"\n  {n}" for n in changed))
     FIXTURE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

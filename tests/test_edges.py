@@ -19,7 +19,14 @@ from bridgelen import bridge as bridge_module
 from bridgelen import edges as edges_module
 from bridgelen.geometry import row_norms
 
-from conftest import make_set, random_basis, random_motif, random_set, slab_19
+from conftest import (
+    make_set,
+    random_basis,
+    random_motif,
+    random_set,
+    random_unimodular,
+    slab_19,
+)
 
 
 def lex_positive(t):
@@ -481,27 +488,36 @@ def old_shell_faces(n: int, s: int, block: int = 4096):
             yield digits * scale + offset
 
 
-def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float) -> set:
+def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None) -> set:
     """Oracle: the all-pairs shell kernel the pair boxes replaced.  Every
     motif pair at every translation of shell s, with the same length
     expression, kept if lo < length <= hi; a set of (length, source, dest,
-    translation)."""
+    translation).  If ``gen`` builds its shells in a reduced cell, shell s
+    is that cell's, and each pair's translations t' are mapped to the
+    input cell as (t' + w_src - w_dst) U."""
     cart = pset.cartesian_motif
-    m = pset.motif_size
+    m, n = pset.motif_size, pset.dim
     src, dst = np.triu_indices(m, k=1)
+    u, wrap = np.eye(n, dtype=np.int64), np.zeros((m + 1, n), dtype=np.int64)
+    if gen is not None and gen._unimodular is not None:
+        u, wrap = gen._unimodular.astype(np.int64), gen._wrap.astype(np.int64)
     out = set()
-    for faces in old_shell_faces(pset.dim, s):
-        shift = (faces[:, None, :].astype(float) @ pset.basis.vectors)[:, 0, :]
-        pair_len = row_norms((cart[dst] + shift[:, None, :]) - cart[src])
-        for t, p in zip(*np.nonzero((pair_len > lo) & (pair_len <= hi))):
-            t_key = tuple(faces[t].tolist())
-            out.add((float(pair_len[t, p]), int(src[p]), int(dst[p]), t_key))
+    for faces in old_shell_faces(n, s):
+        # (faces, pairs, n) input translations
+        t = (faces[:, None, :] + wrap[src] - wrap[dst]) @ u
+        shift = (t[:, :, None, :].astype(float) @ pset.basis.vectors)[:, :, 0, :]
+        pair_len = row_norms((cart[dst] + shift) - cart[src])
+        for f, p in zip(*np.nonzero((pair_len > lo) & (pair_len <= hi))):
+            t_key = tuple(t[f, p].tolist())
+            out.add((float(pair_len[f, p]), int(src[p]), int(dst[p]), t_key))
         if s > 0:
-            self_len = row_norms(shift)
+            own = faces @ u
+            own_shift = (own[:, None, :].astype(float) @ pset.basis.vectors)[:, 0]
+            self_len = row_norms(own_shift)
             keep = (self_len > lo) & (self_len <= hi)
-            for t in np.nonzero(edges_module._lex_positive_rows(faces) & keep)[0]:
-                t_key = tuple(faces[t].tolist())
-                out |= {(float(self_len[t]), i, i, t_key) for i in range(m)}
+            for f in np.nonzero(edges_module._lex_positive_rows(own) & keep)[0]:
+                t_key = tuple(own[f].tolist())
+                out |= {(float(self_len[f]), i, i, t_key) for i in range(m)}
     return out
 
 
@@ -521,7 +537,7 @@ def checked_stream(pset: PeriodicSet, k=None, **kwargs):
             for length, source, dest, t in zip(*(c.tolist() for c in part))
         ]
         assert len(set(got)) == len(got)
-        assert set(got) == all_pairs_collect(pset, s, lo, hi), (s, lo, hi)
+        assert set(got) == all_pairs_collect(pset, s, lo, hi, gen), (s, lo, hi)
         bands.add((lo, hi))
         return parts
 
@@ -699,3 +715,61 @@ class TestChunkedRelease:
         for pset in (fig3_set, bcc, slab_19(), dense_000):
             yielded = take(EdgeGenerator(pset, max_length=math.inf), 3 * self.CHUNK + 7)
             assert yielded == sorted(yielded)
+
+
+def keep_input_cell(vectors):
+    """Stand-in for ``reduce_basis`` that keeps every input cell."""
+    return np.eye(len(vectors), dtype=np.int64)
+
+
+def input_cell_length(pset: PeriodicSet, edge) -> float:
+    """The stream's length expression in the input cell, recomputed: a
+    (1, n) @ (n, n) shift, then (c_dst + shift) - c_src; the self class
+    is measured from a zero point, so its length is |shift|."""
+    shift = (np.array([edge.translation], dtype=float) @ pset.basis.vectors)[0]
+    if edge.source == edge.dest:
+        return float(row_norms(shift))
+    cart = pset.cartesian_motif
+    return float(row_norms((cart[edge.dest] + shift) - cart[edge.source]))
+
+
+class TestReducedCell:
+    """A stream built in a reduced cell is the input cell's stream: the
+    same edges, keys and lengths bit for bit, in the same order."""
+
+    def test_sheared_sets_stream_as_in_the_input_cell(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        reduced = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            base = random_set(rng, n=n, m=int(rng.integers(1, 7)))
+            u = random_unimodular(rng, n)
+            pset = PeriodicSet(
+                LatticeBasis(u @ base.basis.vectors),
+                Motif(base.motif.points @ np.linalg.inv(u)),
+            )
+            gen = EdgeGenerator(pset)
+            got = list(itertools.islice(gen, 300))
+            reduced += gen._unimodular is not None
+            with monkeypatch.context() as patch:
+                patch.setattr(edges_module, "reduce_basis", keep_input_cell)
+                expected = list(itertools.islice(EdgeGenerator(pset), 300))
+            assert got == expected
+            for edge in got:
+                assert edge.length == input_cell_length(pset, edge)
+        assert reduced >= 20
+
+    def test_unreduced_cell_builds_no_reduced_state(self, bcc):
+        gen = EdgeGenerator(bcc)
+        assert gen._unimodular is None and gen._cell is gen.metrics
+
+    def test_reduced_cell_outside_the_float_range_is_not_used(self):
+        # b3 - 5 b1 = (0, 5 a' - 5 a, 1) has an entry of 1e-165, whose
+        # square underflows, so the reduced cell's metrics are refused
+        a = 1e-150
+        basis = np.array([[1, a, 0], [0, 1, 0], [5, 5 * math.nextafter(a, 1), 1]])
+        pset = make_set(basis, [[0, 0, 0], [0.3, 0.4, 0.5]])
+        assert not np.array_equal(edges_module.reduce_basis(basis), np.eye(3))
+        gen = EdgeGenerator(pset)
+        assert gen._unimodular is None
+        assert bridge_length(pset).beta == 1.0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,12 +22,20 @@ from bridgelen import geometry
 from bridgelen.geometry import (
     CellMetrics,
     _float_range,
+    change_basis,
+    reduce_basis,
     row_norms,
     wrap_fractional,
     wrapped_delta,
 )
 
-from conftest import make_set, random_basis
+from conftest import (
+    FIXTURES,
+    make_set,
+    random_basis,
+    random_unimodular,
+    sheared_bcc,
+)
 
 
 def brute_force_longest_diagonal(vectors: np.ndarray) -> float:
@@ -399,3 +408,91 @@ class TestPeriodicSet:
             z2.scale(0.0)
         with pytest.raises(InvalidScale):
             z2.scale(-2.0)
+
+
+def fraction_product(u, vectors) -> list:
+    """``u @ vectors`` in exact rationals, each entry rounded once."""
+    cols = vectors.T.tolist()
+    return [
+        [float(sum(Fraction(a) * Fraction(x) for a, x in zip(row, col))) for col in cols]
+        for row in u.tolist()
+    ]
+
+
+def is_lll_reduced(vectors, delta=0.75, tol=1e-9) -> bool:
+    """The two LLL conditions, from a QR factorisation."""
+    r = np.linalg.qr(np.asarray(vectors, dtype=float).T, mode="r")
+    diag = np.abs(np.diag(r))
+    mu = r / diag[:, None]
+    size = np.all(np.abs(np.triu(mu, 1)) <= 0.5 + tol)
+    lovasz = np.diag(r)[1:] ** 2 + np.diag(r, 1) ** 2 >= (
+        delta * (1 - tol) * diag[:-1] ** 2
+    )
+    return bool(size and lovasz.all())
+
+
+class TestReduceBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_unimodular_int64_and_reduced(self, n):
+        rng = np.random.default_rng(70 + n)
+        reduced_some = False
+        for _ in range(40):
+            vectors = random_unimodular(rng, n, steps=4) @ random_basis(rng, n).vectors
+            u = reduce_basis(vectors)
+            reduced_some |= not np.array_equal(u, np.eye(n))
+            assert u.dtype == np.int64 and u.shape == (n, n)
+            assert round(abs(np.linalg.det(u))) == 1
+            assert abs(np.linalg.det(u.astype(float))) == pytest.approx(1.0)
+            reduced = change_basis(LatticeBasis(vectors), u).vectors
+            order = np.argsort(row_norms(reduced), kind="stable")
+            assert is_lll_reduced(reduced) or is_lll_reduced(reduced[order])
+        assert reduced_some or n == 1
+
+    def test_identity_on_every_fixture_cell(self):
+        from bridgelen import read_set_file
+
+        paths = [p for p in sorted(FIXTURES.iterdir()) if p.suffix in (".cif", ".json")]
+        paths.remove(FIXTURES / "broken.cif")
+        assert len(paths) >= 8
+        for path in paths:
+            pset, _ = read_set_file(path)
+            u = reduce_basis(pset.basis.vectors)
+            assert np.array_equal(u, np.eye(pset.dim)), path
+
+    def test_identity_on_every_dense_motif_basis(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "bench"))
+        import corpus
+
+        cases = corpus.make("dense-motif", 101)
+        assert len(cases) == 120
+        for case in cases:
+            assert np.array_equal(reduce_basis(case.basis), np.eye(3)), case.name
+
+    @pytest.mark.parametrize("reach", [10, 30, 70, 150, 1000])
+    def test_sheared_bcc_ladder_to_aspect_one(self, reach):
+        basis = sheared_bcc(reach).basis
+        reduced = change_basis(basis, reduce_basis(basis.vectors))
+        assert cell_metrics(reduced).aspect == 1.0
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("k", [20, 25, 50, 90, 100, 150, 160, 200])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_scaled_cells_give_no_warning(self, n, k, sign):
+        # the cells of test_scale_outside_float_range_is_exact_or_rejected,
+        # plain and sheared; pytest turns any warning into an error
+        c = 10.0 ** (sign * k)
+        shear = np.eye(n)
+        shear[-1, :-1] = 3.0
+        assert np.array_equal(reduce_basis(np.eye(n) * c), np.eye(n))
+        u = reduce_basis(shear * c)
+        assert np.array_equal(np.abs(u), np.abs(np.linalg.inv(shear)).round())
+
+    def test_change_basis_rounds_each_entry_once(self):
+        rng = np.random.default_rng(75)
+        for n in (2, 3, 5):
+            for _ in range(10):
+                scale = 10.0 ** rng.integers(-30, 30)
+                basis = LatticeBasis(random_basis(rng, n).vectors * scale)
+                u = random_unimodular(rng, n, steps=4, reach=9)
+                exact = fraction_product(u, basis.vectors)
+                assert change_basis(basis, u).vectors.tolist() == exact
