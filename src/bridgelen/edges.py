@@ -9,31 +9,34 @@ by ``translation``.  Canonical orientation: ``source < dest``, or
 self-pair is never emitted.
 
 Candidates are enumerated one supercell shell at a time (all cells at a
-fixed L-infinity distance), and lengths are computed only where they can
-fall in the band (lo, hi] being collected.  The edge x = (f_j - f_i + t) B
-of motif pair (i, j), f being fractional coordinates, has |x| >= |f_jk -
-f_ik + t_k| h_k on every axis k, h_k being the cell height over facet k.
-So a class no longer than hi has its translation in an integer *box*,
-t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta = f_j - f_i
-and r_k = hi / h_k, widened slightly against rounding; the self class is
-the pair with Delta = 0.  The boxes are computed once per band, and the
-pairs whose box is empty are dropped.  A shell is built only where it
-meets a live pair's box: split by leading axis, each piece clipped to the
-box is a mixed-radix range, decoded in blocks of (translation, pair) rows.
-Each block gives its lengths in one numpy expression, the same for every
-row, and keeps those inside the band.  The buffer is a set of parallel
-arrays (length, source, dest, translation): after each shell the unread
-rest and the new candidates are put in yield order and a cursor walks
-them.  The order is one stable ``np.argsort`` of the lengths; the full
-key is sorted only on the rows inside runs of equal length.  Edges leave
-the buffer in chunks: when the converted edges run out, the next
-``_CHUNK`` released rows at most become :class:`CandidateEdge` tuples,
-with one ``tolist()`` per column, and each ``next()`` hands out one.  So
-a CandidateEdge is built only for an edge yielded or for the rest of its
-chunk; converting the whole released run at once would build many that a
-consumer stopping early never reads.  A buffered edge of length L is
-released only when L is strictly below the *height-projected* lower
-bound on every edge reaching any un-enumerated shell:
+fixed L-infinity distance), except that the first build is the cube
+[-1, 1]^n, shells 0 and 1 at once.  Lengths are computed only where they
+can fall in the band (lo, hi] being collected.  The edge x = (f_j - f_i
++ t) B of motif pair (i, j), f being fractional coordinates, has |x| >=
+|f_jk - f_ik + t_k| h_k on every axis k, h_k being the cell height over
+facet k.  So a class no longer than hi has its translation in an integer
+*box*, t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta =
+f_j - f_i and r_k = hi / h_k, widened slightly against rounding; the self
+class is the pair with Delta = 0.  The boxes are computed once per band,
+and the pairs whose box is empty are dropped.  A build is made only where
+it meets a live pair's box: the cube clipped to a box, or each piece of a
+shell split by leading axis clipped to it, is a mixed-radix range,
+decoded in blocks of (translation, pair) rows; a range of one translation
+is its offset, with no decode.  Each block gives its lengths in one numpy
+expression, the same for every row, and keeps those inside the band.  The
+buffer is a set of parallel arrays (length, source, dest, translation):
+after each build the unread rest and the new candidates are put in yield
+order and a cursor walks them.  The order is one stable ``np.argsort`` of
+the lengths; the full key is sorted only on the rows inside runs of equal
+length.  Edges leave the buffer in chunks: when the converted edges run
+out, the next ``_CHUNK`` released rows at most become
+:class:`CandidateEdge` tuples, with one ``tolist()`` per column, and each
+``next()`` hands out one.  So a CandidateEdge is built only for an edge
+yielded or for the rest of its chunk; converting the whole released run
+at once would build many that a consumer stopping early never reads.  A
+buffered edge of length L is released only when L is strictly below the
+*height-projected* lower bound on every edge reaching any un-enumerated
+shell:
 
     bound(sigma) = min_i [ alpha_i + beta_i + (sigma - 1) * h_i ]
 
@@ -45,9 +48,18 @@ so the bound is exact for rectangular cells and safe for skewed ones.
 With the exact bound this makes the stream monotone.  The release is
 strict because an edge in an unvisited shell can be exactly as long as
 the bound; releasing at equality would yield it after a longer-keyed
-tie.  The bound is computed in floats and can round a few ulps above the
-exact one, and then a tie, or two lengths 1-2 ulps apart, can straddle a
-shell out of key order.
+tie.  The first release bound is bound(2), after the cube, so no bound
+lies between shells 0 and 1 and their edges come out in key order.  From
+shell 2 on, the bound is computed in floats and can round a few ulps
+above the exact one; then a tie, or two lengths 1-2 ulps apart, can
+straddle a shell out of key order.
+
+Building shells 0 and 1 together moves no bridge: a bridge needs an edge
+of shell 1 or beyond before it can stop, because the translations of
+shell 0, t = (w_src - w_dst) U (zero in the input cell, see below), give
+every cycle a sum of 0.  So a stream read up to its bridge length built
+shell 1 before as well, and its shell count is the same; only edges that
+straddled a release bound between shells 0 and 1 move, into key order.
 
 The horizon ``max_length`` is the stream's only stop rule: edges longer
 than it are never yielded, and the stream ends once the release bound
@@ -57,9 +69,10 @@ it the stream keeps a smaller *working horizon* H, which starts at twice
 the edge of a cube holding one motif point, 2 (vol / m)^(1/n), capped at
 ``max_length``.  Shells are built keeping only the edges up to H.  When
 the release bound passes H with the buffer empty, H doubles (again capped
-at ``max_length``) and the shells already built are scanned once more for
-the band (H_old, H_new] alone, within the boxes for H_new.  Every length
-is computed by the same expression in every pass, so each class falls in
+at ``max_length``) and the shells already built are scanned once more,
+in the same builds (the cube, then shells 2, 3, ...), for the band
+(H_old, H_new] alone, within the boxes for H_new.  Every length is
+computed by the same expression in every pass, so each class falls in
 exactly one band, and the edges up to H are a prefix of the whole stream:
 the yield order, and the shells built before each yield, are those of a
 single band up to ``max_length``.  A consumer that stops after an edge of
@@ -160,10 +173,15 @@ def _decode(index, radix, offset, scale) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _pieces(n: int, s: int):
-    """The pieces of shell ``s`` > 0: row k of ``first``, ``last`` and
-    ``scale`` bounds and decodes the piece led by axis k."""
-    first = np.where(np.tri(n, k=-1, dtype=bool), 1 - s, -s).astype(np.int32)
-    scale = (1 + (2 * s - 1) * np.eye(n)).astype(np.int32)
+    """The pieces of build ``s``: row k of ``first``, ``last`` and
+    ``scale`` bounds and decodes piece k.  The cube (s = 1) is one piece;
+    shell s >= 2 has one piece per leading axis."""
+    if s == 1:
+        first = np.full((1, n), -1, dtype=np.int32)
+        scale = np.ones((1, n), dtype=np.int32)
+    else:
+        first = np.where(np.tri(n, k=-1, dtype=bool), 1 - s, -s).astype(np.int32)
+        scale = (1 + (2 * s - 1) * np.eye(n)).astype(np.int32)
     last = -first
     for a in (first, last, scale):
         a.setflags(write=False)
@@ -171,47 +189,49 @@ def _pieces(n: int, s: int):
 
 
 def _shell_blocks(lo: np.ndarray, up: np.ndarray, s: int, block: int):
-    """The integer vectors of L-infinity norm exactly ``s`` inside boxes
-    ``lo[b] <= t <= up[b]`` (int32, one row per box), in blocks.
+    """The integer vectors of build ``s`` inside boxes ``lo[b] <= t <=
+    up[b]`` (int32, one row per box), in blocks.  Build 1 is the cube
+    [-1, 1]^n, shells 0 and 1 at once; build s >= 2 is shell s, the
+    vectors of L-infinity norm exactly s.
 
     Yields ``(t, box)``: ``t`` is an int32 block of at most ``block``
-    translations, and ``box`` names the box of each row.  Shell 0 is the
-    zero vector of every box that holds it.
+    translations, and ``box`` names the box of each row.
 
-    For s > 0 the shell splits by its leading axis k, the first with
-    |t_k| = s: entries before k lie in [-(s-1), s-1], t_k = -s or s, and
-    entries after k lie in [-s, s].  Clipped to a box, a piece is still a
-    product of ranges, so it is a mixed-radix range.  A range of at least
-    a quarter block is decoded with one radix per axis, and so costs what
-    a face decode does.  The smaller ranges are decoded together, each row
+    The cube clipped to a box is one product of ranges.  Shell s >= 2
+    splits by its leading axis k, the first with |t_k| = s: entries before
+    k lie in [-(s-1), s-1], t_k = -s or s, and entries after k lie in
+    [-s, s]; clipped to a box, each piece is still a product of ranges.
+    So every (piece, box) range is a mixed-radix range.  A range of one
+    translation is its offset, with no decode.  A range of at least a
+    quarter block is decoded with one radix per axis, and so costs what a
+    face decode does.  The other ranges are decoded together, each row
     with its own box's radices, so a shell of small boxes is one block.
     Every vector of a box comes once, and no (2s+1)^n grid is built.
     """
     n = lo.shape[1]
-    if s == 0:
-        (box,) = np.nonzero((lo <= 0).all(axis=1) & (up >= 0).all(axis=1))
-        for start in range(0, len(box), block):
-            part = box[start : start + block]
-            yield np.zeros((len(part), n), dtype=np.int32), part
-        return
     first, last, scale = _pieces(n, s)
     # (piece, box, axis) arrays: each box clipped to each piece
     offset = np.maximum(lo, first[:, None])
     radix = np.maximum(np.minimum(up, last[:, None]) - offset + 1, 0)
-    # a leading axis holds -s, s or both: digits 0 and 1 of radix 2
-    low = (lo <= -s) & (up >= -s)
-    high = (lo <= s) & (up >= s)
-    axis = np.arange(n)
-    radix[axis, :, axis] = np.add(low, high, dtype=np.int32).T
-    offset[axis, :, axis] = np.where(low, -s, s).T
+    if s > 1:
+        # a leading axis holds -s, s or both: digits 0 and 1 of radix 2
+        low = (lo <= -s) & (up >= -s)
+        high = (lo <= s) & (up >= s)
+        axis = np.arange(n)
+        radix[axis, :, axis] = np.add(low, high, dtype=np.int32).T
+        offset[axis, :, axis] = np.where(low, -s, s).T
     count = radix.prod(axis=2, dtype=np.int64)
-    big = count >= max(1, block // 4)
+    k, box = np.nonzero(count == 1)
+    for start in range(0, len(box), block):
+        part = slice(start, start + block)
+        yield offset[k[part], box[part]], box[part]
+    big = count >= max(2, block // 4)
     for k, b in zip(*np.nonzero(big)):
         for start in range(0, int(count[k, b]), block):
             index = np.arange(start, min(start + block, int(count[k, b])))
             t = _decode(index, radix[k, b], offset[k, b], scale[k])
             yield t, np.full(len(t), b)
-    k, box = np.nonzero((count > 0) & ~big)
+    k, box = np.nonzero((count > 1) & ~big)
     if len(box):
         # one row per (piece, box) range, and the first index of each
         rad, off, sc = radix[k, box], offset[k, box], scale[k]
@@ -355,11 +375,12 @@ class EdgeGenerator:
         # converted edges not yet yielded, the next one last
         self._ready: list[CandidateEdge] = []
         self._next_shell = 0
-        self._bound = self._release_bound(0)
+        self._bound = -math.inf
 
     @property
     def shells_enumerated(self) -> int:
-        """Number of shells enumerated so far (indices 0, 1, ...)."""
+        """Number of shells enumerated so far (indices 0, 1, ...): 2 after
+        the first build, the cube, then one more per build."""
         return self._next_shell
 
     @property
@@ -371,8 +392,6 @@ class EdgeGenerator:
         return (*reversed(self._ready), *self._convert(len(self._length)))
 
     def _release_bound(self, sigma: int) -> float:
-        if sigma <= 0:
-            return -math.inf
         return float(np.min(self._alpha_h + self._beta_h + (sigma - 1) * self._heights))
 
     def __iter__(self):
@@ -386,8 +405,10 @@ class EdgeGenerator:
                 self._ready = self._convert(end)[::-1]
                 self._cursor = end
             elif self._bound <= self._horizon:
-                self._merge(self._collect(self._next_shell, -math.inf, self._horizon))
-                self._next_shell += 1
+                # the first build is the cube, shells 0 and 1
+                s = max(self._next_shell, 1)
+                self._merge(self._collect(s, -math.inf, self._horizon))
+                self._next_shell = s + 1
                 self._bound = self._release_bound(self._next_shell)
                 self._released = int(np.searchsorted(self._length, self._bound))
             elif self._horizon < self.max_length:
@@ -396,7 +417,7 @@ class EdgeGenerator:
                 self._horizon = min(lo * _GROWTH_FACTOR, self.max_length)
                 self._merge(
                     part
-                    for s in range(self._next_shell)
+                    for s in range(1, self._next_shell)
                     for part in self._collect(s, lo, self._horizon)
                 )
                 self._released = int(np.searchsorted(self._length, self._bound))
@@ -444,46 +465,44 @@ class EdgeGenerator:
         """
         reach = hi * (1.0 + _BOX_SLACK) + _BOX_SLACK * self._n * self.metrics.b
         # python floats: an infinite or huge horizon gives no warning
-        radius = [min(reach / h, _BOX_CAP) for h in self._cell.heights]
-        # one axis at a time on 1-D columns, a block of pairs at a time, so
-        # no (pairs, n) float array is held
+        radius = np.array([[min(reach / h, _BOX_CAP)] for h in self._cell.heights])
+        # all n axes at once as (n, block) arrays, a block of pairs at a
+        # time, so no (pairs, n) float array is held
         pairs = len(self._pair_src)
         lo = np.empty((self._n, pairs), dtype=np.int32)
         up = np.empty_like(lo)
-        # a box meets shell s iff near <= s <= far
-        near = np.full(pairs, np.iinfo(np.int32).min, dtype=np.int32)
-        far = np.zeros(pairs, dtype=np.int32)
-        empty = np.zeros(pairs, dtype=bool)
+        # a box meets shell s iff near <= s <= far, and the cube iff near <= 1
+        near = np.empty(pairs, dtype=np.int32)
+        far = np.empty(pairs, dtype=np.int32)
+        empty = np.empty(pairs, dtype=bool)
         for start in range(0, pairs, _BLOCK):
             part = slice(start, start + _BLOCK)
-            src, dst = self._pair_src[part], self._pair_dst[part]
-            near_p, far_p, empty_p = near[part], far[part], empty[part]
-            for k, col in enumerate(self._frac_axes):
-                delta = col.take(dst) - col.take(src)
-                lo_k, up_k = lo[k, part], up[k, part]
-                np.ceil(-radius[k] - delta, out=lo_k, casting="unsafe")
-                np.floor(radius[k] - delta, out=up_k, casting="unsafe")
-                empty_p |= lo_k > up_k
-                np.maximum(near_p, lo_k, out=near_p)
-                np.maximum(near_p, -up_k, out=near_p)
-                np.maximum(far_p, -lo_k, out=far_p)
-                np.maximum(far_p, up_k, out=far_p)
+            delta = self._frac_axes.take(self._pair_dst[part], 1)
+            delta -= self._frac_axes.take(self._pair_src[part], 1)
+            lo_p, up_p = lo[:, part], up[:, part]
+            np.ceil(-radius - delta, out=lo_p, casting="unsafe")
+            np.floor(radius - delta, out=up_p, casting="unsafe")
+            np.any(lo_p > up_p, axis=0, out=empty[part])
+            np.max(np.maximum(lo_p, -up_p), axis=0, out=near[part])
+            np.max(np.maximum(-lo_p, up_p), axis=0, out=far[part])
         (self._live,) = np.nonzero(~empty)
         self._box_lo = lo.T[self._live]
         self._box_up = up.T[self._live]
         self._box_near = near[self._live]
         self._box_far = far[self._live]
-        # the self class (the last pair) has no class in shell 0
-        self._box_near[-1] = 1
         self._box_horizon = hi
 
     def _collect(self, s: int, lo: float, hi: float):
-        """The classes of shell ``s`` with lo < length <= hi, unordered, as
+        """The classes of build ``s`` (the cube for s = 1, else shell s;
+        see :func:`_shell_blocks`) with lo < length <= hi, unordered, as
         blocks of (length, source, dest, translation) arrays.  Lengths are
         computed only for the translations in each pair's box."""
         if hi != self._box_horizon:
             self._set_boxes(hi)
-        (hit,) = np.nonzero((self._box_near <= s) & (self._box_far >= s))
+        hit = self._box_near <= s
+        if s > 1:
+            hit &= self._box_far >= s
+        (hit,) = np.nonzero(hit)
         if len(hit) == 0:
             return
         live = self._live[hit]
@@ -494,12 +513,9 @@ class EdgeGenerator:
             # a stacked (1, n) @ (n, n) product rounds each row as the
             # product for one translation does; a (rows, n) @ (n, n)
             # product rounds differently for n >= 4, which would make
-            # lengths depend on the block size.  Shell 0 of the input
-            # cell shifts by exactly 0.0.
-            if s == 0 and self._unimodular is None:
-                shift = 0.0
-            else:
-                shift = (t[:, None, :].astype(float) @ self._basis)[:, 0]
+            # lengths depend on the block size.  A zero t shifts by +-0.0,
+            # which adds nothing.
+            shift = (t[:, None, :].astype(float) @ self._basis)[:, 0]
             own = pair == self._self_pair
             if own.all():  # the self class alone, as in a lattice: |tB|
                 length = row_norms(shift)

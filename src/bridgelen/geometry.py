@@ -191,6 +191,8 @@ def _first_coincident_pair(arr: np.ndarray, tol: float):
     blocks of ``_PAIRS``.
     """
     m = len(arr)
+    if m == 1:  # no pairs
+        return None
     x = arr[:, 0]
     order = np.argsort(x, kind="stable")
     xs = x[order]

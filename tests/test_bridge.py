@@ -275,30 +275,34 @@ class TestChangeOfBasis:
 
 class TestShearedBccLadder:
     """One set in ever more sheared cells: beta stays sqrt(3)/2, and the
-    shells and decoded rows the stream needs are pinned as upper bounds
+    shells and translation rows the stream builds are pinned exactly
     (counts, not times, so they cannot flake).  Every rung is built in its
     LLL-reduced cell, plain BCC, so the counts no longer grow with the
     reach; in the input cell reach 150 took 131 shells and 476 845 rows,
-    and reach 1000 would take hundreds of shells."""
+    and reach 1000 would take hundreds of shells.  The rows are counted as
+    ``_shell_blocks`` yields them, since a range of one translation skips
+    ``_decode``: 54, the 52 rows decoded when shells 0 and 1 were built
+    apart plus the two zero vectors shell 0 built without a decode."""
 
     @pytest.mark.parametrize(
         "reach, shells, rows",
-        [(10, 2, 52), (30, 2, 52), (70, 2, 52), (150, 2, 52), (1000, 2, 52)],
+        [(10, 2, 54), (30, 2, 54), (70, 2, 54), (150, 2, 54), (1000, 2, 54)],
     )
-    def test_beta_shells_and_decoded_rows(self, monkeypatch, reach, shells, rows):
-        decoded = []
-        real = edges_module._decode
+    def test_beta_shells_and_built_rows(self, monkeypatch, reach, shells, rows):
+        built = []
+        real = edges_module._shell_blocks
 
-        def counting(index, *args):
-            decoded.append(len(index))
-            return real(index, *args)
+        def counting(*args):
+            for t, box in real(*args):
+                built.append(len(t))
+                yield t, box
 
-        monkeypatch.setattr(edges_module, "_decode", counting)
+        monkeypatch.setattr(edges_module, "_shell_blocks", counting)
         report = bridge_length(sheared_bcc(reach))
         assert report.beta.hex() == "0x1.bb67ae8584caap-1"
         assert report.shells_enumerated == shells
         assert report.edges_examined == 5
-        assert sum(decoded) <= rows
+        assert sum(built) == rows
 
 
 class TestMstLongestEdge:

@@ -14,6 +14,8 @@ from bridgelen import (
     PeriodicSet,
     bridge_length,
     cell_metrics,
+    parse_cif,
+    to_periodic_set,
 )
 from bridgelen import bridge as bridge_module
 from bridgelen import edges as edges_module
@@ -209,8 +211,16 @@ class TestAgainstBruteForce:
 
 
 def face_cases():
-    cases = [(n, s) for n in range(1, 9) for s in range(3)]
-    return cases + [(n, 3) for n in range(1, 6)]
+    cases = [(n, s) for n in range(1, 9) for s in (1, 2)]
+    return cases + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 5)]
+
+
+def build_vectors(n, s):
+    """The vectors of build s by brute force: the cube [-1, 1]^n for s = 1,
+    else those of L-infinity norm exactly s."""
+    norms = {0, 1} if s == 1 else {s}
+    cube = itertools.product(range(-s, s + 1), repeat=n)
+    return [v for v in cube if max(map(abs, v)) in norms]
 
 
 def unbounded_box(n):
@@ -219,17 +229,22 @@ def unbounded_box(n):
 
 
 class TestShellFaces:
-    """One unbounded box: the blocks are the whole shell, all in box 0."""
+    """One unbounded box: the blocks are the whole build (the cube, or a
+    shell >= 2), all in box 0."""
 
     @pytest.mark.parametrize("n, s", face_cases())
-    def test_each_vector_of_norm_s_once(self, n, s):
+    def test_each_vector_of_the_build_once(self, n, s):
         box = unbounded_box(n)
         blocks = list(edges_module._shell_blocks(*box, s, edges_module._BLOCK))
         assert all((b == 0).all() and b.size in (1, len(t)) for t, b in blocks)
         faces = np.concatenate([t for t, _ in blocks])
         assert faces.dtype == np.int32 and faces.shape[1] == n
-        assert len(faces) == (2 * s + 1) ** n - max(2 * s - 1, 0) ** n
-        assert (np.abs(faces).max(axis=1) == s).all()
+        if s == 1:
+            assert len(faces) == 3**n
+            assert (np.abs(faces).max(axis=1) <= 1).all()
+        else:
+            assert len(faces) == (2 * s + 1) ** n - (2 * s - 1) ** n
+            assert (np.abs(faces).max(axis=1) == s).all()
         assert len(np.unique(faces, axis=0)) == len(faces)
         mask = edges_module._lex_positive_rows(faces)
         assert mask.tolist() == [lex_positive(t) for t in faces.tolist()]
@@ -261,30 +276,60 @@ class TestShellFaces:
 
 
 class TestShellBlocksInBoxes:
-    @pytest.mark.parametrize("block", [1, 5, 4096])
+    @pytest.mark.parametrize("block", [1, 5, 64, 4096])
     def test_each_vector_of_each_box_once(self, block):
         # random boxes, some holding whole pieces, some a part, some
-        # missing the shell; big and small ranges, alone and together
+        # missing the build; wide boxes mixed with boxes at most one cell
+        # wide near the origin, whose ranges in the cube and in shell 2
+        # are often one translation
         rng = np.random.default_rng(60)
-        for _ in range(40):
+        for _ in range(60):
             n = int(rng.integers(1, 5))
-            s = int(rng.integers(0, 4))
-            lo = rng.integers(-5, 2, size=(int(rng.integers(1, 6)), n)).astype(np.int32)
-            up = (lo + rng.integers(0, 8, size=lo.shape)).astype(np.int32)
+            s = int(rng.integers(1, 4))
+            wide = rng.integers(-5, 2, size=(int(rng.integers(0, 6)), n))
+            wide_up = wide + rng.integers(0, 8, size=wide.shape)
+            narrow = rng.integers(-2, 2, size=(int(rng.integers(0, 6)), n))
+            narrow_up = narrow + rng.integers(0, 2, size=narrow.shape)
+            mix = rng.permutation(len(wide) + len(narrow))
+            lo = np.concatenate([wide, narrow])[mix].astype(np.int32)
+            up = np.concatenate([wide_up, narrow_up])[mix].astype(np.int32)
             got = []
             for t, box in edges_module._shell_blocks(lo, up, s, block):
-                assert box.shape == (len(t),)
+                assert t.dtype == np.int32 and box.shape == (len(t),)
                 assert 1 <= len(t) <= block
                 got += zip(box.tolist(), map(tuple, t.tolist()))
+            in_build = set(build_vectors(n, s))
             expected = [
                 (b, v)
                 for b in range(len(lo))
                 for v in itertools.product(*map(range, lo[b], up[b] + 1))
-                if max(map(abs, v), default=0) == s
+                if v in in_build
             ]
             assert sorted(got) == sorted(expected)
 
-    @pytest.mark.parametrize("s", [0, 2])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_one_translation_ranges_need_no_decode(self, monkeypatch, s):
+        # boxes that each meet the build in one vector: their offsets are
+        # the rows, and nothing is decoded
+        def refuse(*args):
+            raise AssertionError("decoded a one-translation range")
+
+        monkeypatch.setattr(edges_module, "_decode", refuse)
+        lo = np.array([[0, 0, 0], [-1, 1, 0], [s, -3, 5], [-s, 0, 0]], dtype=np.int32)
+        up = np.array([[0, 0, 0], [-1, 1, 0], [s, 3, 5], [-s, 0, 0]], dtype=np.int32)
+        for block in (1, 2, 4096):
+            got = [
+                (int(b), tuple(v))
+                for t, box in edges_module._shell_blocks(lo, up, s, block)
+                for b, v in zip(box, t.tolist())
+            ]
+            if s == 1:
+                expected = [(0, (0, 0, 0)), (1, (-1, 1, 0)), (3, (-1, 0, 0))]
+            else:
+                expected = [(3, (-2, 0, 0))]
+            assert sorted(got) == expected
+
+    @pytest.mark.parametrize("s", [1, 2])
     def test_no_boxes(self, s):
         none = np.empty((0, 3), dtype=np.int32)
         assert list(edges_module._shell_blocks(none, none, s, 4096)) == []
@@ -468,12 +513,12 @@ class TestWorkingHorizon:
             assert np.array_equal(order, full)
 
 
-def old_shell_faces(n: int, s: int, block: int = 4096):
-    """The face enumeration the pair-box kernel replaced: the vectors of
-    L-infinity norm exactly s, split by leading axis, in blocks."""
-    if s == 0:
+def old_build_faces(n: int, s: int, block: int = 4096):
+    """The face enumeration the pair-box kernel replaced, for build s: the
+    vectors of L-infinity norm exactly s, split by leading axis, in
+    blocks; the cube (s = 1) is the zero vector and then shell 1."""
+    if s == 1:
         yield np.zeros((1, n), dtype=np.int32)
-        return
     for k in range(n):
         radix = [2 * s - 1] * k + [2] + [2 * s + 1] * (n - 1 - k)
         scale = np.ones(n, dtype=np.int32)
@@ -490,11 +535,12 @@ def old_shell_faces(n: int, s: int, block: int = 4096):
 
 def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None) -> set:
     """Oracle: the all-pairs shell kernel the pair boxes replaced.  Every
-    motif pair at every translation of shell s, with the same length
-    expression, kept if lo < length <= hi; a set of (length, source, dest,
-    translation).  If ``gen`` builds its shells in a reduced cell, shell s
-    is that cell's, and each pair's translations t' are mapped to the
-    input cell as (t' + w_src - w_dst) U."""
+    motif pair at every translation of build s (the cube for s = 1, else
+    shell s), with the same length expression, kept if lo < length <= hi;
+    a set of (length, source, dest, translation).  If ``gen`` builds its
+    shells in a reduced cell, build s is that cell's, and each pair's
+    translations t' are mapped to the input cell as (t' + w_src - w_dst)
+    U."""
     cart = pset.cartesian_motif
     m, n = pset.motif_size, pset.dim
     src, dst = np.triu_indices(m, k=1)
@@ -502,7 +548,7 @@ def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None)
     if gen is not None and gen._unimodular is not None:
         u, wrap = gen._unimodular.astype(np.int64), gen._wrap.astype(np.int64)
     out = set()
-    for faces in old_shell_faces(n, s):
+    for faces in old_build_faces(n, s):
         # (faces, pairs, n) input translations
         t = (faces[:, None, :] + wrap[src] - wrap[dst]) @ u
         shift = (t[:, :, None, :].astype(float) @ pset.basis.vectors)[:, :, 0, :]
@@ -510,14 +556,14 @@ def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None)
         for f, p in zip(*np.nonzero((pair_len > lo) & (pair_len <= hi))):
             t_key = tuple(t[f, p].tolist())
             out.add((float(pair_len[f, p]), int(src[p]), int(dst[p]), t_key))
-        if s > 0:
-            own = faces @ u
-            own_shift = (own[:, None, :].astype(float) @ pset.basis.vectors)[:, 0]
-            self_len = row_norms(own_shift)
-            keep = (self_len > lo) & (self_len <= hi)
-            for f in np.nonzero(edges_module._lex_positive_rows(own) & keep)[0]:
-                t_key = tuple(own[f].tolist())
-                out |= {(float(self_len[f]), i, i, t_key) for i in range(m)}
+        # the zero vector is not lex-positive: no self class in shell 0
+        own = faces @ u
+        own_shift = (own[:, None, :].astype(float) @ pset.basis.vectors)[:, 0]
+        self_len = row_norms(own_shift)
+        keep = (self_len > lo) & (self_len <= hi)
+        for f in np.nonzero(edges_module._lex_positive_rows(own) & keep)[0]:
+            t_key = tuple(own[f].tolist())
+            out |= {(float(self_len[f]), i, i, t_key) for i in range(m)}
     return out
 
 
@@ -662,13 +708,19 @@ class TestExtremeHorizons:
 
 
 @pytest.fixture
-def dense_000(monkeypatch):
-    """``dense-000-uniform-m20`` of the seed-101 benchmark corpus: its
-    first shells release a run of more than two chunks."""
+def bench_corpus(monkeypatch):
+    """The benchmark's corpus generator, ``bench/corpus.py``."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import corpus
 
-    case = corpus.make("dense-motif", 101)[0]
+    return corpus
+
+
+@pytest.fixture
+def dense_000(bench_corpus):
+    """``dense-000-uniform-m20`` of the seed-101 benchmark corpus: its
+    first shells release a run of more than two chunks."""
+    case = bench_corpus.make("dense-motif", 101)[0]
     assert case.name == "dense-000-uniform-m20"
     return make_set(case.basis, case.frac)
 
@@ -715,6 +767,50 @@ class TestChunkedRelease:
         for pset in (fig3_set, bcc, slab_19(), dense_000):
             yielded = take(EdgeGenerator(pset, max_length=math.inf), 3 * self.CHUNK + 7)
             assert yielded == sorted(yielded)
+
+
+class TestKeyOrderInTheCube:
+    """Shells 0 and 1 are built as one cube and sorted once, so no release
+    bound lies between them: ties and near-ties across that boundary come
+    out in (length, source, dest, translation) order."""
+
+    #: seed-101 CIF streams that yielded out of key order when shells 0
+    #: and 1 were built and released apart (a float release bound a few
+    #: ulps above the exact one)
+    STRADDLING = (
+        "cif184_Fmmm_m40",
+        "cif191_Immm_m44",
+        "cif192_P4mmm_m43",
+        "cif195_Fmmm_m48",
+        "cif230_I4mmm_m124",
+        "cif237_Fm3m_m192",
+    )
+
+    def test_seed_101_cif_streams_yield_in_key_order(self, bench_corpus):
+        cases = {case.name: case for case in bench_corpus.make("cif-batch", 101)}
+        for name in self.STRADDLING:
+            pset = to_periodic_set(parse_cif(cases[name].text))
+            examined = bridge_length(pset).edges_examined
+            got = take(EdgeGenerator(pset), examined)
+            assert got == sorted(got), name
+
+    def test_first_build_releases_in_key_order(self):
+        # symmetric sets tie exactly, often between a pair inside the cell
+        # (shell 0) and one across a face (shell 1)
+        rng = np.random.default_rng(64)
+        straddling = 0
+        for _ in range(60):
+            pset = symmetric_set(rng, int(rng.integers(1, 4)))
+            gen = EdgeGenerator(pset, max_length=math.inf)
+            first = []
+            for edge in gen:
+                if gen.shells_enumerated > 2:
+                    break
+                first.append(edge)
+            assert first and first == sorted(first)
+            zero = {e.length for e in first if not any(e.translation)}
+            straddling += any(e.length in zero for e in first if any(e.translation))
+        assert straddling >= 10
 
 
 def keep_input_cell(vectors):
