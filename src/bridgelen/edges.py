@@ -8,35 +8,36 @@ by ``translation``.  Canonical orientation: ``source < dest``, or
 ``source == dest`` with a lexicographically positive translation; the zero
 self-pair is never emitted.
 
-Candidates are enumerated one supercell shell at a time (all cells at a
-fixed L-infinity distance), except that the first build is the cube
-[-1, 1]^n, shells 0 and 1 at once.  Lengths are computed only where they
-can fall in the band (lo, hi] being collected.  The edge x = (f_j - f_i
-+ t) B of motif pair (i, j), f being fractional coordinates, has |x| >=
-|f_jk - f_ik + t_k| h_k on every axis k, h_k being the cell height over
-facet k.  So a class no longer than hi has its translation in an integer
-*box*, t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta =
-f_j - f_i and r_k = hi / h_k, widened slightly against rounding; the self
-class is the pair with Delta = 0.  The boxes are computed once per band,
-and the pairs whose box is empty are dropped.  A build is made only where
-it meets a live pair's box: the cube clipped to a box, or each piece of a
-shell split by leading axis clipped to it, is a mixed-radix range,
-decoded in blocks of (translation, pair) rows; a range of one translation
-is its offset, with no decode.  Each block gives its lengths in one numpy
-expression, the same for every row, and keeps those inside the band.  The
-buffer is a set of parallel arrays (length, source, dest, translation):
-after each build the unread rest and the new candidates are put in yield
-order and a cursor walks them.  The order is one stable ``np.argsort`` of
-the lengths; the full key is sorted only on the rows inside runs of equal
-length.  Edges leave the buffer in chunks: when the converted edges run
-out, the next ``_CHUNK`` released rows at most become
-:class:`CandidateEdge` tuples, with one ``tolist()`` per column, and each
-``next()`` hands out one.  So a CandidateEdge is built only for an edge
-yielded or for the rest of its chunk; converting the whole released run
-at once would build many that a consumer stopping early never reads.  A
-buffered edge of length L is released only when L is strictly below the
-*height-projected* lower bound on every edge reaching any un-enumerated
-shell:
+Candidates are enumerated by supercell shells (all cells at a fixed
+L-infinity distance).  Every build is a range of shells, ``first`` to
+``last``: the first build is the cube [-1, 1]^n, shells 0 and 1, and each
+later one is shell s >= 2 alone.  Lengths are computed only where they can
+fall in the band (lo, hi] being collected.  The edge x = (f_j - f_i + t) B
+of motif pair (i, j), f being fractional coordinates, has |x| >= |f_jk -
+f_ik + t_k| h_k on every axis k, h_k being the cell height over facet
+k.  So a class no longer than hi has its translation in an integer *box*,
+t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta = f_j -
+f_i and r_k = hi / h_k, widened slightly against rounding; the self class
+is the pair with Delta = 0.  The boxes are computed once per band, and the
+pairs whose box is empty are dropped.  A build is made only where it meets
+a live pair's box: each such box clipped to the one cube [-last, last]^n
+is a mixed-radix range, decoded in blocks of (translation, pair) rows; a
+range of one translation is its offset, with no decode.  For first > 0 the
+rows of norm below ``first`` are dropped before any length is
+computed.  Each block gives its lengths in one numpy expression, the same
+for every row, and keeps those inside the band.  The buffer is a set of
+parallel arrays (length, source, dest, translation): after each build the
+unread rest and the new candidates are put in yield order and a cursor
+walks them.  The order is one stable ``np.argsort`` of the lengths; the
+full key is sorted only on the rows inside runs of equal length.  Edges
+leave the buffer in chunks: when the converted edges run out, the next
+``_CHUNK`` released rows at most become :class:`CandidateEdge` tuples,
+with one ``tolist()`` per column, and each ``next()`` hands out one.  So a
+CandidateEdge is built only for an edge yielded or for the rest of its
+chunk; converting the whole released run at once would build many that a
+consumer stopping early never reads.  A buffered edge of length L is
+released only when L is strictly below the *height-projected* lower bound
+on every edge reaching any un-enumerated shell:
 
     bound(sigma) = min_i [ alpha_i + beta_i + (sigma - 1) * h_i ]
 
@@ -67,16 +68,16 @@ passes it.  It defaults to the cell bound r_upper (plus a relative slack),
 and every edge up to r_upper lies within ceil(aspect) + 1 shells.  Inside
 it the stream keeps a smaller *working horizon* H, which starts at twice
 the edge of a cube holding one motif point, 2 (vol / m)^(1/n), capped at
-``max_length``.  Shells are built keeping only the edges up to H.  When
-the release bound passes H with the buffer empty, H doubles (again capped
-at ``max_length``) and the shells already built are scanned once more,
-in the same builds (the cube, then shells 2, 3, ...), for the band
-(H_old, H_new] alone, within the boxes for H_new.  Every length is
-computed by the same expression in every pass, so each class falls in
-exactly one band, and the edges up to H are a prefix of the whole stream:
-the yield order, and the shells built before each yield, are those of a
-single band up to ``max_length``.  A consumer that stops after an edge of
-length L has had only the edges up to max(H_0, 2 L) buffered and sorted.
+``max_length``.  Shells are built keeping only the edges up to H.  When the
+release bound passes H with the buffer empty, H doubles (again capped at
+``max_length``) and the sigma shells already built are scanned once more,
+as one build of shells 0 to sigma - 1, for the band (H_old, H_new] alone,
+within the boxes for H_new.  Every length is computed by the same
+expression in every pass, so each class falls in exactly one band, and
+the edges up to H are a prefix of the whole stream: the yield order, and
+the shells built before each yield, are those of a single band up to
+``max_length``.  A consumer that stops after an edge of length L has had
+only the edges up to max(H_0, 2 L) buffered and sorted.
 
 Shells, boxes and the release bound are those of a *reduced cell* when
 it is better shaped.  :func:`~bridgelen.geometry.reduce_basis` gives a
@@ -105,7 +106,6 @@ independent.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -157,92 +157,61 @@ class CandidateEdge(NamedTuple):
     translation: tuple[int, ...]
 
 
-def _decode(index, radix, offset, scale) -> np.ndarray:
-    """Mixed-radix digits of ``index`` mapped to translations.
-
-    ``radix``, ``offset`` and ``scale`` hold one entry per axis, either
-    once for every row, shape (n,), or once per row, shape (rows, n);
-    coordinate j is ``offset_j + digit_j * scale_j``.
-    """
-    n = radix.shape[-1]
+def _decode(index, radix, offset) -> np.ndarray:
+    """Mixed-radix digits of ``index`` plus ``offset``: row r has the
+    radices ``radix[r]`` and the offset ``offset[r]``, both int32 of shape
+    (rows, n)."""
+    n = radix.shape[1]
     digits = np.empty((len(index), n), dtype=np.int32)
     for j in range(n - 1, -1, -1):
-        index, digits[:, j] = np.divmod(index, radix[..., j])
-    return digits * scale + offset
+        index, digits[:, j] = np.divmod(index, radix[:, j])
+    return digits + offset
 
 
-@lru_cache(maxsize=256)
-def _pieces(n: int, s: int):
-    """The pieces of build ``s``: row k of ``first``, ``last`` and
-    ``scale`` bounds and decodes piece k.  The cube (s = 1) is one piece;
-    shell s >= 2 has one piece per leading axis."""
-    if s == 1:
-        first = np.full((1, n), -1, dtype=np.int32)
-        scale = np.ones((1, n), dtype=np.int32)
-    else:
-        first = np.where(np.tri(n, k=-1, dtype=bool), 1 - s, -s).astype(np.int32)
-        scale = (1 + (2 * s - 1) * np.eye(n)).astype(np.int32)
-    last = -first
-    for a in (first, last, scale):
-        a.setflags(write=False)
-    return first, last, scale
+def _shell_blocks(lo: np.ndarray, up: np.ndarray, first: int, last: int, block: int):
+    """The integer vectors of shells ``first`` to ``last`` (L-infinity
+    norm in [first, last]) inside boxes ``lo[b] <= t <= up[b]`` (int32,
+    one row per box), in blocks.
 
-
-def _shell_blocks(lo: np.ndarray, up: np.ndarray, s: int, block: int):
-    """The integer vectors of build ``s`` inside boxes ``lo[b] <= t <=
-    up[b]`` (int32, one row per box), in blocks.  Build 1 is the cube
-    [-1, 1]^n, shells 0 and 1 at once; build s >= 2 is shell s, the
-    vectors of L-infinity norm exactly s.
-
-    Yields ``(t, box)``: ``t`` is an int32 block of at most ``block``
+    Yields ``(t, box)``: ``t`` is an int32 block of 1 to ``block``
     translations, and ``box`` names the box of each row.
 
-    The cube clipped to a box is one product of ranges.  Shell s >= 2
-    splits by its leading axis k, the first with |t_k| = s: entries before
-    k lie in [-(s-1), s-1], t_k = -s or s, and entries after k lie in
-    [-s, s]; clipped to a box, each piece is still a product of ranges.
-    So every (piece, box) range is a mixed-radix range.  A range of one
-    translation is its offset, with no decode.  A range of at least a
-    quarter block is decoded with one radix per axis, and so costs what a
-    face decode does.  The other ranges are decoded together, each row
-    with its own box's radices, so a shell of small boxes is one block.
-    Every vector of a box comes once, and no (2s+1)^n grid is built.
+    A box clipped to the cube [-last, last]^n is a product of ranges, so
+    a mixed-radix range.  A range of one translation is its offset, with
+    no decode.  The other ranges are decoded together, each row with its
+    own box's radices, so many small boxes make one block.  For first > 0
+    the decoded rows of norm below ``first`` are dropped before any length
+    is computed, so a block can hold fewer than ``block`` rows.  Every
+    vector of a box comes once, and no (2 last + 1)^n grid is built.
     """
-    n = lo.shape[1]
-    first, last, scale = _pieces(n, s)
-    # (piece, box, axis) arrays: each box clipped to each piece
-    offset = np.maximum(lo, first[:, None])
-    radix = np.maximum(np.minimum(up, last[:, None]) - offset + 1, 0)
-    if s > 1:
-        # a leading axis holds -s, s or both: digits 0 and 1 of radix 2
-        low = (lo <= -s) & (up >= -s)
-        high = (lo <= s) & (up >= s)
-        axis = np.arange(n)
-        radix[axis, :, axis] = np.add(low, high, dtype=np.int32).T
-        offset[axis, :, axis] = np.where(low, -s, s).T
-    count = radix.prod(axis=2, dtype=np.int64)
-    k, box = np.nonzero(count == 1)
+    # (box, axis) arrays: each box clipped to the cube
+    offset = np.maximum(lo, -last)
+    radix = np.maximum(np.minimum(up, last) - offset + 1, 0)
+    count = radix.prod(axis=1, dtype=np.int64)
+    one = count == 1
+    if first > 0:
+        one &= np.abs(offset).max(axis=1) >= first
+    (box,) = np.nonzero(one)
     for start in range(0, len(box), block):
-        part = slice(start, start + block)
-        yield offset[k[part], box[part]], box[part]
-    big = count >= max(2, block // 4)
-    for k, b in zip(*np.nonzero(big)):
-        for start in range(0, int(count[k, b]), block):
-            index = np.arange(start, min(start + block, int(count[k, b])))
-            t = _decode(index, radix[k, b], offset[k, b], scale[k])
-            yield t, np.full(len(t), b)
-    k, box = np.nonzero((count > 1) & ~big)
-    if len(box):
-        # one row per (piece, box) range, and the first index of each
-        rad, off, sc = radix[k, box], offset[k, box], scale[k]
-        end = np.cumsum(count[k, box])
-        first_index = end - count[k, box]
-        for start in range(0, int(end[-1]), block):
-            index = np.arange(start, min(start + block, int(end[-1])))
-            q = np.searchsorted(end, index, side="right")
-            local = index - first_index[q]
-            t = _decode(local, rad.take(q, 0), off.take(q, 0), sc.take(q, 0))
-            yield t, box[q]
+        part = box[start : start + block]
+        yield offset[part], part
+    (box,) = np.nonzero(count > 1)
+    if len(box) == 0:
+        return
+    # one row per range, and the first index of each
+    rad, off = radix[box], offset[box]
+    end = np.cumsum(count[box])
+    first_index = end - count[box]
+    for start in range(0, int(end[-1]), block):
+        index = np.arange(start, min(start + block, int(end[-1])))
+        q = np.searchsorted(end, index, side="right")
+        t = _decode(index - first_index[q], rad.take(q, 0), off.take(q, 0))
+        if first > 0:
+            keep = np.abs(t).max(axis=1) >= first
+            t, q = t[keep], q[keep]
+            if len(t) == 0:
+                continue
+        yield t, box[q]
 
 
 def _lex_positive_rows(t: np.ndarray) -> np.ndarray:
@@ -322,7 +291,8 @@ class EdgeGenerator:
         edge can remain.  Defaults to the cell bound r_upper * (1 + 1e-9),
         which every bridge length lies below; pass ``math.inf`` for an
         unbounded stream.  The working horizon up to which shells are
-        buffered grows towards it on demand; NaN raises ValueError.
+        buffered grows towards it on demand; NaN or a negative value
+        raises ValueError.
     """
 
     def __init__(self, pset: PeriodicSet, max_length: Optional[float] = None):
@@ -342,12 +312,12 @@ class EdgeGenerator:
         to_high_face = (1.0 - frac - slack).min(axis=0)  # min over motif, per axis
         to_low_face = (frac - slack).min(axis=0)
         self._heights = heights
-        self._alpha_h = to_high_face * heights
-        self._beta_h = to_low_face * heights
+        # the exit plus entry legs alpha_i + beta_i of the release bound
+        self._legs = to_high_face * heights + to_low_face * heights
         if max_length is None:
             max_length = self.metrics.r_upper * (1.0 + _HORIZON_SLACK)
-        if math.isnan(max_length):
-            raise ValueError("max_length must be a number or math.inf, not NaN")
+        if not max_length >= 0:
+            raise ValueError("max_length must be >= 0 or math.inf, not NaN or negative")
         self.max_length = max_length
         cube = (self.metrics.vol / self._m) ** (1.0 / self._n)
         self._horizon = min(max_length, _START_FACTOR * cube)
@@ -380,7 +350,8 @@ class EdgeGenerator:
     @property
     def shells_enumerated(self) -> int:
         """Number of shells enumerated so far (indices 0, 1, ...): 2 after
-        the first build, the cube, then one more per build."""
+        the first build, the cube, then one more per shell built; a
+        rescan builds no new shell."""
         return self._next_shell
 
     @property
@@ -392,7 +363,7 @@ class EdgeGenerator:
         return (*reversed(self._ready), *self._convert(len(self._length)))
 
     def _release_bound(self, sigma: int) -> float:
-        return float(np.min(self._alpha_h + self._beta_h + (sigma - 1) * self._heights))
+        return float(np.min(self._legs + (sigma - 1) * self._heights))
 
     def __iter__(self):
         return self
@@ -405,21 +376,18 @@ class EdgeGenerator:
                 self._ready = self._convert(end)[::-1]
                 self._cursor = end
             elif self._bound <= self._horizon:
-                # the first build is the cube, shells 0 and 1
-                s = max(self._next_shell, 1)
-                self._merge(self._collect(s, -math.inf, self._horizon))
-                self._next_shell = s + 1
+                # the next shell, or first the cube, shells 0 and 1
+                first = self._next_shell
+                last = max(first, 1)
+                self._merge(self._collect(first, last, -math.inf, self._horizon))
+                self._next_shell = last + 1
                 self._bound = self._release_bound(self._next_shell)
                 self._released = int(np.searchsorted(self._length, self._bound))
             elif self._horizon < self.max_length:
                 # the buffer is empty: every edge up to the horizon is out
                 lo = self._horizon
                 self._horizon = min(lo * _GROWTH_FACTOR, self.max_length)
-                self._merge(
-                    part
-                    for s in range(1, self._next_shell)
-                    for part in self._collect(s, lo, self._horizon)
-                )
+                self._merge(self._collect(0, self._next_shell - 1, lo, self._horizon))
                 self._released = int(np.searchsorted(self._length, self._bound))
             else:
                 raise StopIteration
@@ -471,7 +439,7 @@ class EdgeGenerator:
         pairs = len(self._pair_src)
         lo = np.empty((self._n, pairs), dtype=np.int32)
         up = np.empty_like(lo)
-        # a box meets shell s iff near <= s <= far, and the cube iff near <= 1
+        # a box meets shells first..last iff near <= last and far >= first
         near = np.empty(pairs, dtype=np.int32)
         far = np.empty(pairs, dtype=np.int32)
         empty = np.empty(pairs, dtype=bool)
@@ -492,21 +460,17 @@ class EdgeGenerator:
         self._box_far = far[self._live]
         self._box_horizon = hi
 
-    def _collect(self, s: int, lo: float, hi: float):
-        """The classes of build ``s`` (the cube for s = 1, else shell s;
-        see :func:`_shell_blocks`) with lo < length <= hi, unordered, as
-        blocks of (length, source, dest, translation) arrays.  Lengths are
+    def _collect(self, first: int, last: int, lo: float, hi: float):
+        """The classes of shells ``first`` to ``last`` (see
+        :func:`_shell_blocks`) with lo < length <= hi, unordered, as blocks
+        of (length, source, dest, translation) arrays.  Lengths are
         computed only for the translations in each pair's box."""
         if hi != self._box_horizon:
             self._set_boxes(hi)
-        hit = self._box_near <= s
-        if s > 1:
-            hit &= self._box_far >= s
-        (hit,) = np.nonzero(hit)
-        if len(hit) == 0:
-            return
+        (hit,) = np.nonzero((self._box_near <= last) & (self._box_far >= first))
         live = self._live[hit]
-        for t, box in _shell_blocks(self._box_lo[hit], self._box_up[hit], s, _BLOCK):
+        lo_hit, up_hit = self._box_lo[hit], self._box_up[hit]
+        for t, box in _shell_blocks(lo_hit, up_hit, first, last, _BLOCK):
             pair = live[box]
             if self._unimodular is not None:
                 t = self._input_translations(t, pair)

@@ -210,17 +210,19 @@ class TestAgainstBruteForce:
                 assert e.length > 0
 
 
-def face_cases():
-    cases = [(n, s) for n in range(1, 9) for s in (1, 2)]
-    return cases + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 5)]
+def build_cases():
+    """(n, first, last): the builds the stream makes, the cube (0, 1),
+    shell s >= 2 alone, and the rescans (0, k)."""
+    cases = [(n, 0, 1) for n in range(1, 9)] + [(n, 2, 2) for n in range(1, 9)]
+    cases += [(n, 3, 3) for n in range(1, 6)] + [(n, 4, 4) for n in range(1, 5)]
+    return cases + [(n, 0, 2) for n in range(1, 6)] + [(n, 0, 3) for n in range(1, 4)]
 
 
-def build_vectors(n, s):
-    """The vectors of build s by brute force: the cube [-1, 1]^n for s = 1,
-    else those of L-infinity norm exactly s."""
-    norms = {0, 1} if s == 1 else {s}
-    cube = itertools.product(range(-s, s + 1), repeat=n)
-    return [v for v in cube if max(map(abs, v)) in norms]
+def build_vectors(n, first, last):
+    """The vectors of shells first..last by brute force: those of
+    L-infinity norm in [first, last]."""
+    cube = itertools.product(range(-last, last + 1), repeat=n)
+    return [v for v in cube if max(map(abs, v)) >= first]
 
 
 def unbounded_box(n):
@@ -229,31 +231,32 @@ def unbounded_box(n):
 
 
 class TestShellFaces:
-    """One unbounded box: the blocks are the whole build (the cube, or a
-    shell >= 2), all in box 0."""
+    """One unbounded box: the blocks are the whole build, shells first to
+    last, all in box 0."""
 
-    @pytest.mark.parametrize("n, s", face_cases())
-    def test_each_vector_of_the_build_once(self, n, s):
+    @pytest.mark.parametrize("n, first, last", build_cases())
+    def test_each_vector_of_the_build_once(self, n, first, last):
         box = unbounded_box(n)
-        blocks = list(edges_module._shell_blocks(*box, s, edges_module._BLOCK))
-        assert all((b == 0).all() and b.size in (1, len(t)) for t, b in blocks)
+        blocks = list(edges_module._shell_blocks(*box, first, last, edges_module._BLOCK))
+        assert all((b == 0).all() and len(b) == len(t) for t, b in blocks)
+        assert all(1 <= len(t) <= edges_module._BLOCK for t, _ in blocks)
         faces = np.concatenate([t for t, _ in blocks])
         assert faces.dtype == np.int32 and faces.shape[1] == n
-        if s == 1:
-            assert len(faces) == 3**n
-            assert (np.abs(faces).max(axis=1) <= 1).all()
-        else:
-            assert len(faces) == (2 * s + 1) ** n - (2 * s - 1) ** n
-            assert (np.abs(faces).max(axis=1) == s).all()
+        inner = 0 if first == 0 else (2 * first - 1) ** n
+        assert len(faces) == (2 * last + 1) ** n - inner
+        norms = np.abs(faces).max(axis=1)
+        assert ((first <= norms) & (norms <= last)).all()
         assert len(np.unique(faces, axis=0)) == len(faces)
         mask = edges_module._lex_positive_rows(faces)
         assert mask.tolist() == [lex_positive(t) for t in faces.tolist()]
 
-    @pytest.mark.parametrize("n, s", [(1, 2), (3, 1), (4, 2), (6, 1)])
-    def test_blocks_split_the_same_sequence(self, n, s):
+    @pytest.mark.parametrize(
+        "n, first, last", [(1, 2, 2), (3, 0, 1), (4, 2, 2), (6, 0, 1), (3, 0, 3), (3, 3, 3)]
+    )
+    def test_blocks_split_the_same_sequence(self, n, first, last):
         box = unbounded_box(n)
-        whole = [t for t, _ in edges_module._shell_blocks(*box, s, 10**6)]
-        blocks = [t for t, _ in edges_module._shell_blocks(*box, s, 7)]
+        whole = [t for t, _ in edges_module._shell_blocks(*box, first, last, 10**6)]
+        blocks = [t for t, _ in edges_module._shell_blocks(*box, first, last, 7)]
         assert all(1 <= len(b) <= 7 for b in blocks)
         assert np.array_equal(np.concatenate(blocks), np.concatenate(whole))
 
@@ -275,17 +278,22 @@ class TestShellFaces:
             assert (take(gen, 150), gen.pending) == want
 
 
+#: The (first, last) ranges the stream builds: the cube, shells 2 and 3
+#: alone, and rescans of the shells up to 2 and 3.
+STREAM_RANGES = [(0, 1), (2, 2), (3, 3), (0, 2), (0, 3)]
+
+
 class TestShellBlocksInBoxes:
     @pytest.mark.parametrize("block", [1, 5, 64, 4096])
     def test_each_vector_of_each_box_once(self, block):
-        # random boxes, some holding whole pieces, some a part, some
+        # random boxes, some holding whole shells, some a part, some
         # missing the build; wide boxes mixed with boxes at most one cell
-        # wide near the origin, whose ranges in the cube and in shell 2
-        # are often one translation
+        # wide near the origin, whose ranges in the cube are often one
+        # translation and in shell 2 often one translation or none
         rng = np.random.default_rng(60)
         for _ in range(60):
             n = int(rng.integers(1, 5))
-            s = int(rng.integers(1, 4))
+            first, last = STREAM_RANGES[int(rng.integers(len(STREAM_RANGES)))]
             wide = rng.integers(-5, 2, size=(int(rng.integers(0, 6)), n))
             wide_up = wide + rng.integers(0, 8, size=wide.shape)
             narrow = rng.integers(-2, 2, size=(int(rng.integers(0, 6)), n))
@@ -294,11 +302,11 @@ class TestShellBlocksInBoxes:
             lo = np.concatenate([wide, narrow])[mix].astype(np.int32)
             up = np.concatenate([wide_up, narrow_up])[mix].astype(np.int32)
             got = []
-            for t, box in edges_module._shell_blocks(lo, up, s, block):
+            for t, box in edges_module._shell_blocks(lo, up, first, last, block):
                 assert t.dtype == np.int32 and box.shape == (len(t),)
                 assert 1 <= len(t) <= block
                 got += zip(box.tolist(), map(tuple, t.tolist()))
-            in_build = set(build_vectors(n, s))
+            in_build = set(build_vectors(n, first, last))
             expected = [
                 (b, v)
                 for b in range(len(lo))
@@ -307,32 +315,30 @@ class TestShellBlocksInBoxes:
             ]
             assert sorted(got) == sorted(expected)
 
-    @pytest.mark.parametrize("s", [1, 2])
-    def test_one_translation_ranges_need_no_decode(self, monkeypatch, s):
-        # boxes that each meet the build in one vector: their offsets are
-        # the rows, and nothing is decoded
+    @pytest.mark.parametrize("first, last", [(0, 1), (2, 2), (0, 2)])
+    def test_one_translation_ranges_need_no_decode(self, monkeypatch, first, last):
+        # boxes that each meet the cube [-last, last]^3 in one vector:
+        # their offsets are the rows, nothing is decoded, and the rows of
+        # norm below ``first`` are dropped
         def refuse(*args):
             raise AssertionError("decoded a one-translation range")
 
         monkeypatch.setattr(edges_module, "_decode", refuse)
-        lo = np.array([[0, 0, 0], [-1, 1, 0], [s, -3, 5], [-s, 0, 0]], dtype=np.int32)
-        up = np.array([[0, 0, 0], [-1, 1, 0], [s, 3, 5], [-s, 0, 0]], dtype=np.int32)
+        lo = np.array([[0, 0, 0], [-1, 1, 0], [last, -3, 5], [-last, 0, 0]], dtype=np.int32)
+        up = np.array([[0, 0, 0], [-1, 1, 0], [last, 3, 5], [-last, 0, 0]], dtype=np.int32)
         for block in (1, 2, 4096):
             got = [
                 (int(b), tuple(v))
-                for t, box in edges_module._shell_blocks(lo, up, s, block)
+                for t, box in edges_module._shell_blocks(lo, up, first, last, block)
                 for b, v in zip(box, t.tolist())
             ]
-            if s == 1:
-                expected = [(0, (0, 0, 0)), (1, (-1, 1, 0)), (3, (-1, 0, 0))]
-            else:
-                expected = [(3, (-2, 0, 0))]
-            assert sorted(got) == expected
+            expected = [(0, (0, 0, 0)), (1, (-1, 1, 0)), (3, (-last, 0, 0))]
+            assert sorted(got) == [(b, v) for b, v in expected if max(map(abs, v)) >= first]
 
-    @pytest.mark.parametrize("s", [1, 2])
-    def test_no_boxes(self, s):
+    @pytest.mark.parametrize("first, last", STREAM_RANGES)
+    def test_no_boxes(self, first, last):
         none = np.empty((0, 3), dtype=np.int32)
-        assert list(edges_module._shell_blocks(none, none, s, 4096)) == []
+        assert list(edges_module._shell_blocks(none, none, first, last, 4096)) == []
 
 
 class TestCapsAndHorizons:
@@ -381,11 +387,12 @@ class TestCapsAndHorizons:
         next(gen)  # the first edge enumerates shells 0 and 1
         assert gen.shells_enumerated == 2
 
-    def test_nan_horizon_is_refused(self, z3):
+    @pytest.mark.parametrize("horizon", [float("nan"), -math.inf, -1.0])
+    def test_nan_horizon_is_refused(self, z3, horizon):
         # ``bound > nan`` is never true, so a NaN horizon would build empty
-        # shells for ever
+        # shells for ever; a negative one can hold no edge
         with pytest.raises(ValueError, match="NaN"):
-            EdgeGenerator(z3, max_length=float("nan"))
+            EdgeGenerator(z3, max_length=horizon)
 
 
 def brute_force_upto(pset: PeriodicSet, limit: float):
@@ -499,6 +506,26 @@ class TestWorkingHorizon:
         assert got == sorted(got)
         assert len(got) == len(brute_force_upto(pset, 2.0))
 
+    def test_a_growth_is_one_build(self, monkeypatch):
+        # each growth rescans the sigma shells built so far in one call,
+        # _collect(0, sigma - 1, H_old, H_new); slab_19 with a start of
+        # a quarter of the default grows with 2, 3, 4 and 6 shells built
+        monkeypatch.setattr(edges_module, "_START_FACTOR", 0.5)
+        gen = EdgeGenerator(slab_19())
+        collect, calls = gen._collect, []
+
+        def recording(first, last, lo, hi):
+            calls.append((first, last, lo, hi, gen.shells_enumerated))
+            return collect(first, last, lo, hi)
+
+        gen._collect = recording
+        list(gen)
+        growths = [call for call in calls if call[2] > -math.inf]
+        for first, last, lo, hi, sigma in growths:
+            assert (first, last) == (0, sigma - 1)
+            assert [call[2:4] for call in calls].count((lo, hi)) == 1
+        assert max(last for _, last, *_ in growths) >= 3
+
     def test_tie_only_order_is_the_full_key_sort(self):
         # integer lengths make long runs of ties; repeated full keys must
         # keep their input order, as in a stable sort
@@ -569,21 +596,25 @@ def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None)
 
 def checked_stream(pset: PeriodicSet, k=None, **kwargs):
     """Run a stream, to its end or for ``k`` edges, comparing its every
-    ``_collect(s, lo, hi)`` with the all-pairs oracle; return the bands
-    (lo, hi] it collected."""
+    ``_collect(first, last, lo, hi)`` with the union of the all-pairs
+    oracle over the builds it covers (the cube for first = 0, then shells
+    2 to last); return the bands (lo, hi] it collected."""
     gen = EdgeGenerator(pset, **kwargs)
     collect = gen._collect
     bands = set()
 
-    def checked(s, lo, hi):
-        parts = list(collect(s, lo, hi))
+    def checked(first, last, lo, hi):
+        assert first != 1 and first <= last
+        parts = list(collect(first, last, lo, hi))
         got = [
             (length, source, dest, tuple(t))
             for part in parts
             for length, source, dest, t in zip(*(c.tolist() for c in part))
         ]
+        builds = range(max(first, 1), last + 1)
+        expected = set().union(*(all_pairs_collect(pset, s, lo, hi, gen) for s in builds))
         assert len(set(got)) == len(got)
-        assert set(got) == all_pairs_collect(pset, s, lo, hi, gen), (s, lo, hi)
+        assert set(got) == expected, (first, last, lo, hi)
         bands.add((lo, hi))
         return parts
 
