@@ -39,21 +39,21 @@ consumer stopping early never reads.  A buffered edge of length L is
 released only when L is strictly below the *height-projected* lower bound
 on every edge reaching any un-enumerated shell:
 
-    bound(sigma) = min_i [ alpha_i + beta_i + (sigma - 1) * h_i ]
+    bound(sigma) = min_k (sigma - spread_k) h_k
 
-where h_i is the cell height over facet i and alpha_i / beta_i are the
-shortest motif-to-face distances measured along that height direction.
-Crossing from the central cell into shell sigma advances at least
-(sigma - 1) full heights plus the exit and entry legs in some direction,
-so the bound is exact for rectangular cells and safe for skewed ones.
-With the exact bound this makes the stream monotone.  The release is
-strict because an edge in an unvisited shell can be exactly as long as
-the bound; releasing at equality would yield it after a longer-keyed
-tie.  The first release bound is bound(2), after the cube, so no bound
-lies between shells 0 and 1 and their edges come out in key order.  From
-shell 2 on, the bound is computed in floats and can round a few ulps
-above the exact one; then a tie, or two lengths 1-2 ulps apart, can
-straddle a shell out of key order.
+where h_k is the cell height over facet k and spread_k the extent of the
+motif's fractional coordinates on axis k.  An edge into shell sigma has
+|t_k| >= sigma on some axis k, so it advances at least sigma - spread_k
+cells along that height: sigma - 1 full heights plus the exit and entry
+legs to the faces.  The bound is exact for rectangular cells and safe
+for skewed ones.  It is computed in floats and then lowered by the
+margin the pair boxes are widened by, which covers every rounding on the
+way (see ``_set_boxes``): no computed length in an unbuilt shell falls
+below it.  The release is strict because an edge in an unvisited shell
+can be exactly as long as the bound; releasing at equality would yield
+it after a longer-keyed tie.  So the stream yields in (length, source,
+dest, translation) order, ties included.  The first release bound is
+bound(2), after the cube.
 
 Building shells 0 and 1 together moves no bridge: a bridge needs an edge
 of shell 1 or beyond before it can stop, because the translations of
@@ -64,7 +64,7 @@ straddled a release bound between shells 0 and 1 move, into key order.
 
 The horizon ``max_length`` is the stream's only stop rule: edges longer
 than it are never yielded, and the stream ends once the release bound
-passes it.  It defaults to the cell bound r_upper (plus a relative slack),
+passes it.  It defaults to the cell bound r_upper (plus the box margin),
 and every edge up to r_upper lies within ceil(aspect) + 1 shells.  Inside
 it the stream keeps a smaller *working horizon* H, which starts at twice
 the edge of a cube holding one motif point, 2 (vol / m)^(1/n), capped at
@@ -85,19 +85,18 @@ unimodular U, and the cell B' = U B (built exactly by
 :func:`~bridgelen.geometry.change_basis`) is used when its aspect is
 strictly smaller than the input cell's; otherwise U = I, w = 0 and
 everything here is the input cell's.  In B' the motif is re-wrapped as
-f' = f U^-1 - w, w the integer floor, and the heights, the face legs
-alpha / beta (less a bound on the rounding of f'), the pair boxes, the
-shells and the release bound are built from f' and B'.  Every block's
-rows are mapped back, t = (t' + w_src - w_dst) U, before anything reads
-them: the length is the input cell's expression on the input Cartesian
-motif and basis, and the self-class test and the yield key use the input
-t.  So every length and key is the input cell's, bit for bit, and so is
-the order wherever the release bounds are exact; only the shells built
-differ.  The horizon r_upper, the working horizon and the box slack stay
-the input cell's (see ``_set_boxes``).  A stream read up to the bridge
-length builds at most ceil(reduced aspect) + 1 shells: the release bound
-after sigma shells is at least (sigma - 1) h'_min, and the bridge length
-is at most the reduced cell's r_upper as well.
+f' = f U^-1 - w, w the integer floor, and the heights, the spreads, the
+pair boxes, the shells and the release bound are built from f' and B'.
+Every block's rows are mapped back, t = (t' + w_src - w_dst) U, before
+anything reads them: the length is the input cell's expression on the
+input Cartesian motif and basis, and the self-class test and the yield
+key use the input t.  So every length, every key and the order are the
+input cell's, bit for bit; only the shells built differ.  The horizon
+r_upper, the working horizon and the box margin stay the input cell's
+(see ``_set_boxes``).  A stream read up to the bridge length builds at
+most ceil(reduced aspect) + 1 shells: the release bound after sigma
+shells is at least (sigma - 1) h'_min, up to the margin, and the bridge
+length is at most the reduced cell's r_upper as well.
 
 A generator is single-owner mutable state; distinct generators are
 independent.
@@ -113,18 +112,14 @@ import numpy as np
 from .errors import DegenerateCell
 from .geometry import PeriodicSet, cell_metrics, change_basis, reduce_basis, row_norms
 
-#: Relative slack applied to the default r_upper horizon so an edge exactly
-#: at the bound survives float rounding.
-_HORIZON_SLACK = 1e-9
-
 #: Most (translation, pair) rows one block of a shell builds (a block holds
 #: at least one translation).  Working memory is bounded per block, not
 #: per shell: shell 3 in 8-D alone has 5.4 million translations.
 _BLOCK = 1 << 12
 
-#: Relative widening of the translation boxes, against the rounding of the
-#: fractional coordinates, the cell heights and the length expression
-#: (see ``EdgeGenerator._set_boxes``).
+#: Relative widening of the translation boxes and narrowing of the release
+#: bound, against the rounding of the fractional coordinates, the cell
+#: heights and the length expression (see ``EdgeGenerator._set_boxes``).
 _BOX_SLACK = 1e-9
 
 #: Box half-widths are capped at this many cells, so that an unbounded
@@ -225,15 +220,11 @@ def _reduced_cell(pset: PeriodicSet):
     if the basis is reduced already (up to the order and signs of its
     rows) or U^-1 or the cell's metrics cannot be had exactly.
 
-    Returns ``(metrics, u, frac, wrap, slack)``: the metrics of U B; U;
-    the motif re-wrapped as f' = f U^-1 - w, w = floor(f U^-1); the
+    Returns ``(metrics, u, frac, wrap)``: the metrics of U B; U; the
+    motif re-wrapped as f' = f U^-1 - w, w = floor(f U^-1); and the
     integers w as an (m + 1, n) float array whose last row, for the
-    stream's extra zero point, is 0; and ``slack``, a bound on the
-    rounding of each entry of f'.  U^-1 is the float inverse rounded to
-    integers, used only if it is the exact inverse.  Entry k of f U^-1
-    sums n products of |f_l| < 1 with integers, so it rounds by at most
-    (n + 1) eps sum_l |f_l U^-1_lk|, and subtracting the integer w is
-    exact.
+    stream's extra zero point, is 0.  U^-1 is the float inverse rounded
+    to integers, used only if it is the exact inverse.
     """
     n = pset.dim
     u = reduce_basis(pset.basis.vectors)
@@ -254,8 +245,7 @@ def _reduced_cell(pset: PeriodicSet):
     fold = frac >= 1.0
     frac[fold] = 0.0
     wrap[fold] += 1.0
-    slack = (n + 1) * np.finfo(float).eps * (np.abs(points) @ np.abs(inverse))
-    return metrics, u, frac, np.concatenate([wrap, np.zeros((1, n))]), slack
+    return metrics, u, frac, np.concatenate([wrap, np.zeros((1, n))])
 
 
 def _yield_order(length, source, dest, translation) -> np.ndarray:
@@ -303,19 +293,16 @@ class EdgeGenerator:
         self.metrics = cell_metrics(pset.basis)
         # the cell whose shells are built: the input's, or a reduced one
         self._cell, self._unimodular = self.metrics, None
-        frac, slack = pset.motif.points, 0.0
+        frac = pset.motif.points
         reduced = _reduced_cell(pset)
         if reduced is not None and reduced[0].aspect < self.metrics.aspect:
-            self._cell, u, frac, self._wrap, slack = reduced
+            self._cell, u, frac, self._wrap = reduced
             self._unimodular = u.astype(float)
-        heights = np.array(self._cell.heights)
-        to_high_face = (1.0 - frac - slack).min(axis=0)  # min over motif, per axis
-        to_low_face = (frac - slack).min(axis=0)
-        self._heights = heights
-        # the exit plus entry legs alpha_i + beta_i of the release bound
-        self._legs = to_high_face * heights + to_low_face * heights
+        self._heights = np.array(self._cell.heights)
+        # the motif's extent on each axis of that cell
+        self._spread = np.ptp(frac, axis=0)
         if max_length is None:
-            max_length = self.metrics.r_upper * (1.0 + _HORIZON_SLACK)
+            max_length = self.metrics.r_upper * (1.0 + _BOX_SLACK)
         if not max_length >= 0:
             raise ValueError("max_length must be >= 0 or math.inf, not NaN or negative")
         self.max_length = max_length
@@ -363,7 +350,11 @@ class EdgeGenerator:
         return (*reversed(self._ready), *self._convert(len(self._length)))
 
     def _release_bound(self, sigma: int) -> float:
-        return float(np.min(self._legs + (sigma - 1) * self._heights))
+        """The height-projected bound on shells sigma and beyond, lowered
+        by the margin of ``_set_boxes``: no computed length there falls
+        below it."""
+        bound = float(np.min((sigma - self._spread) * self._heights))
+        return bound * (1.0 - _BOX_SLACK) - _BOX_SLACK * self._n * self.metrics.b
 
     def __iter__(self):
         return self
@@ -418,18 +409,26 @@ class EdgeGenerator:
         facet k, so a class no longer than hi has t_k in [-r_k - Delta_k,
         r_k - Delta_k] with Delta = f_j - f_i and r_k = hi / h_k.  All of
         this is in the cell whose shells are built, the reduced one if
-        any.  The computed length rounds the input cell's (c_j + tB) -
-        c_i, c being Cartesian motif points, so it can fall below |x| by a
-        few ulps of |c_j| + |tB| + |c_i| <= |x| + 2 (|c_j| + |c_i|).  So
-        r_k is widened by _BOX_SLACK relative to hi plus n b, b the
-        longest input basis vector, which bounds every |c|; the relative
-        part also covers the rounding of the heights and of Delta.  In a
+        any.
+
+        One margin, _BOX_SLACK relative plus _BOX_SLACK n b, b the longest
+        input basis vector, covers the rounding both here and in
+        ``_release_bound``.  The computed length rounds the input cell's
+        (c_j + tB) - c_i, c being Cartesian motif points, so it can fall
+        below |x| by a few ulps of |c_j| + |tB| + |c_i| <= |x| + 2 (|c_j| +
+        |c_i|), and n b bounds every |c|.  The relative part covers the
+        rounding of the heights, of their products and of Delta.  In a
         reduced cell the heights are those of B' rounded entrywise once,
         and f' = f U^-1 - w rounds by at most (n + 1) eps sum_l |U^-1_lk|
         on axis k.  Each |U^-1_lk| <= b / h_k, because U^-1_lk is the
         coefficient of b'_k in the input vector b_l and b'_k's dual vector
         has length 1 / h_k; so that rounding, times h_k, is below
-        2 (n + 1) n eps b, far inside the _BOX_SLACK n b term.
+        2 (n + 1) n eps b, far inside the n b term.  Here r_k is hi
+        widened by the margin, over h_k.  The release bound is the
+        computed min_k (sigma - spread_k) h_k narrowed by it: an edge into
+        shell sigma has |t_k| >= sigma on some axis k, where |Delta_k| <=
+        spread_k, so |x| >= (sigma - spread_k) h_k, and no computed length
+        there falls below the narrowed bound.
         """
         reach = hi * (1.0 + _BOX_SLACK) + _BOX_SLACK * self._n * self.metrics.b
         # python floats: an infinite or huge horizon gives no warning

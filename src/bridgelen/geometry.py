@@ -381,10 +381,10 @@ def facet_heights(basis: LatticeBasis) -> np.ndarray:
 
     h_i is the spacing of the lattice hyperplane family normal to facet i,
     i.e. the minimum Cartesian advance per unit step of fractional
-    coordinate i.
+    coordinate i.  These are the ``heights`` of :func:`cell_metrics`, so a
+    cell outside the floating-point range raises DegenerateCell.
     """
-    vol = abs(float(np.linalg.det(basis.vectors)))
-    return vol / facet_volumes(basis)
+    return np.array(cell_metrics(basis).heights)
 
 
 def cell_metrics(basis: LatticeBasis) -> CellMetrics:

@@ -110,14 +110,27 @@ def random_unimodular(
     return (u * signs[:, None])[rng.permutation(n)]
 
 
+#: Most whole draws ``random_motif`` makes; the slowest caller needs about
+#: a quarter of this (25 606 draws, for 12 points in 1-D).
+MOTIF_DRAWS = 100_000
+
+
 def random_motif(rng: np.random.Generator, n: int, m: int, min_sep: float = 5e-2):
-    """m random fractional points, pairwise wrap-separated by min_sep."""
-    while True:
+    """m random fractional points, pairwise wrap-separated by min_sep.
+
+    All m points are drawn at once until a draw is separated, so the odds
+    fall steeply with m; after ``MOTIF_DRAWS`` failed draws it raises
+    ValueError rather than run on.
+    """
+    for _ in range(MOTIF_DRAWS):
         pts = rng.random((m, n))
         try:
             return Motif(pts, dedup_tol=min_sep)
         except ValueError:
             continue
+    raise ValueError(
+        f"no {m} points in {n}-D pairwise {min_sep} apart in {MOTIF_DRAWS} draws"
+    )
 
 
 def random_set(

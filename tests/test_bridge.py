@@ -167,13 +167,14 @@ class TestBoundsAndInvariances:
                 )
 
     def test_half_scale_a7(self, monkeypatch):
-        # Halving a basis is exact, so beta halves exactly.  In the input
-        # cell the stream needs a third shell at half scale: the
-        # height-projected release bound after two shells rounds to 2 ulps
-        # above sqrt(2) for A7, but to 4 ulps below sqrt(2)/2 for the
-        # halved cell, so the shortest edges wait for shell 2.  The
-        # LLL-reduced cell has a smaller aspect, and its shells are built
-        # instead: there two shells do at both scales.
+        # Halving a basis is exact, so beta halves exactly, and the shell
+        # count must not move.  In the input cell the smallest height is
+        # sqrt(2)/2 exactly, so the exact release bound after two shells is
+        # sqrt(2), the bridge length itself.  The release is strict and the
+        # rounding margin only lowers the bound, so the shortest edges wait
+        # for shell 2 at every scale.  The LLL-reduced cell has a smaller
+        # aspect, and its shells are built instead: there two shells do at
+        # both scales.
         n = 7
         cartan = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         a7 = make_set(np.linalg.cholesky(cartan), np.zeros((1, n)))
@@ -182,7 +183,7 @@ class TestBoundsAndInvariances:
             full = bridge_length(a7)
             half = bridge_length(a7.scale(0.5))
             assert half.beta == 0.5 * full.beta
-            assert full.shells_enumerated == 2
+            assert full.shells_enumerated == shells
             assert half.shells_enumerated == shells
 
     @pytest.mark.parametrize("n", [3, 8])

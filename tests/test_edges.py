@@ -802,7 +802,8 @@ class TestChunkedRelease:
 
 class TestKeyOrderInTheCube:
     """Shells 0 and 1 are built as one cube and sorted once, so no release
-    bound lies between them: ties and near-ties across that boundary come
+    bound lies between them, and every later release bound is lowered by
+    the rounding margin: ties and near-ties across a shell boundary come
     out in (length, source, dest, translation) order."""
 
     #: seed-101 CIF streams that yielded out of key order when shells 0
@@ -823,6 +824,24 @@ class TestKeyOrderInTheCube:
             pset = to_periodic_set(parse_cif(cases[name].text))
             examined = bridge_length(pset).edges_examined
             got = take(EdgeGenerator(pset), examined)
+            assert got == sorted(got), name
+
+    #: seed-101 CIF streams that yielded out of key order from shell 2 on,
+    #: read to their horizon, while the release bound was rounded with no
+    #: margin
+    WHOLE = (
+        "cif174_Immm_m32",
+        "cif184_Fmmm_m40",
+        "cif191_Immm_m44",
+        "cif192_P4mmm_m43",
+    )
+
+    def test_seed_101_cif_streams_to_their_horizon_yield_in_key_order(
+        self, bench_corpus
+    ):
+        cases = {case.name: case for case in bench_corpus.make("cif-batch", 101)}
+        for name in self.WHOLE:
+            got = list(EdgeGenerator(to_periodic_set(parse_cif(cases[name].text))))
             assert got == sorted(got), name
 
     def test_first_build_releases_in_key_order(self):

@@ -33,6 +33,7 @@ from conftest import (
     FIXTURES,
     make_set,
     random_basis,
+    random_motif,
     random_unimodular,
     sheared_bcc,
 )
@@ -205,7 +206,7 @@ class TestCellMetrics:
     )
     def test_cells_outside_the_float_range_still_raise(self, n, scale):
         basis = LatticeBasis(np.eye(n) * scale)
-        for fn in (cell_metrics, loop_cell_metrics):
+        for fn in (cell_metrics, loop_cell_metrics, facet_heights):
             with pytest.raises(DegenerateCell, match="outside the floating-point range"):
                 fn(basis)
 
@@ -254,6 +255,11 @@ class TestMotif:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="coincide"):
             Motif([[0.1, 0.2], [0.1, 0.2]])
+
+    def test_random_motif_gives_up_on_a_hopeless_draw(self):
+        # 29 points 0.05 apart cannot fit on a circle of length 1
+        with pytest.raises(ValueError, match=r"no 29 points in 1-D pairwise 0\.05"):
+            random_motif(np.random.default_rng(0), 1, 29)
 
     def test_rejects_wrap_duplicates(self):
         with pytest.raises(ValueError, match="coincide"):
