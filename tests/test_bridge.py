@@ -33,6 +33,12 @@ def identity(vectors):
     return np.eye(len(vectors), dtype=np.int64)
 
 
+def dyadic(x, bits: int = 20):
+    """x rounded to a multiple of 2^-bits, so small integer combinations
+    of its entries are exact in floating point."""
+    return np.ldexp(np.rint(np.ldexp(x, bits)), -bits)
+
+
 def doubled_cell(pset: PeriodicSet) -> PeriodicSet:
     """Same point set described by the 2x cell with 2^n * m motif points."""
     n = pset.dim
@@ -256,20 +262,24 @@ class TestChangeOfBasis:
     @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_beta_invariant_and_shells_within_reduced_aspect(self, n, m, seed):
-        # the same set in another basis, U B Q for a random unimodular U
-        # and a random rotation Q: beta agrees to rounding (the lengths
-        # round in a different input cell), and the stream builds no more
-        # shells than the reduced cell's aspect allows
+        # the same set in another basis, U B for a random unimodular U and
+        # a randomly rotated B: beta agrees to rounding (the lengths round
+        # in a different input cell), and the stream builds no more shells
+        # than the reduced cell's aspect allows.  B and the motif are
+        # snapped to 20 fractional bits, so U B and f U^-1 are exact: the
+        # moved set is the same set, not one that differs by the rounding
+        # of a product with U's large entries
         rng = np.random.default_rng(seed)
         pset = random_set(rng, n=n, m=m)
         u = random_unimodular(rng, n, steps=4)
+        u_inv = np.rint(np.linalg.inv(u)).astype(np.int64)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        moved = PeriodicSet(
-            LatticeBasis(u @ pset.basis.vectors @ q),
-            Motif(pset.motif.points @ np.linalg.inv(u)),
-        )
+        basis = dyadic(pset.basis.vectors @ q)
+        points = dyadic(pset.motif.points)
+        same = make_set(basis, points)
+        moved = make_set(u @ basis, points @ u_inv)
         report = bridge_length(moved)
-        assert report.beta == pytest.approx(bridge_length(pset).beta, rel=1e-12)
+        assert report.beta == pytest.approx(bridge_length(same).beta, rel=1e-12)
         reduced = change_basis(moved.basis, reduce_basis(moved.basis.vectors))
         assert report.shells_enumerated <= math.ceil(cell_metrics(reduced).aspect) + 1
 
