@@ -18,18 +18,21 @@ f_ik + t_k| h_k on every axis k, h_k being the cell height over facet
 k.  So a class no longer than hi has its translation in an integer *box*,
 t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta = f_j -
 f_i and r_k = hi / h_k, widened slightly against rounding; the self class
-is the pair with Delta = 0.  The boxes are computed once per band, and the
-pairs whose box is empty are dropped.  A build is made only where it meets
-a live pair's box: each such box clipped to the one cube [-last, last]^n
-is a mixed-radix range, decoded in blocks of (translation, pair) rows; a
-range of one translation is its offset, with no decode.  For first > 0 the
-rows of norm below ``first`` are dropped before any length is
-computed.  Each block gives its lengths in one numpy expression, the same
-for every row, and keeps those inside the band.  The buffer is a set of
-parallel arrays (length, source, dest, translation): after each build the
-unread rest and the new candidates are put in yield order and a cursor
-walks them.  The order is one stable ``np.argsort`` of the lengths; the
-full key is sorted only on the rows inside runs of equal length.  Edges
+is the pair with Delta = 0.  The boxes are computed once per band, as
+(n, live) columns, and the pairs whose box is empty are dropped.  A build
+is made only where it meets a live pair's box: each box is clipped to the
+one cube [-last, last]^n, and the clip alone decides whether the box takes
+part (it must be non-empty, and its far corner must reach shell
+``first``), so the boxes carry no shell bounds.  A clipped box is a
+mixed-radix range, decoded in blocks of (translation, pair) rows; a range
+of one translation is its offset, with no decode.  For first > 0 the rows
+of norm below ``first`` are dropped before any length is computed.  Each
+block gives its lengths in one numpy expression, the same for every row,
+and keeps those inside the band.  The buffer is a set of parallel arrays
+(length, source, dest, translation): after each build the unread rest and
+the new candidates are put in yield order and a cursor walks them.  The
+order is one stable ``np.argsort`` of the lengths; the full key is sorted
+only on the rows inside runs of equal length.  Edges
 leave the buffer in chunks: when the converted edges run out, the next
 ``_CHUNK`` released rows at most become :class:`CandidateEdge` tuples,
 with one ``tolist()`` per column, and each ``next()`` hands out one.  So a
@@ -81,8 +84,9 @@ only the edges up to max(H_0, 2 L) buffered and sorted.
 
 Shells, boxes and the release bound are those of a *reduced cell* when
 it is better shaped.  :func:`~bridgelen.geometry.reduce_basis` gives a
-unimodular U, and the cell B' = U B (built exactly by
-:func:`~bridgelen.geometry.change_basis`) is used when its aspect is
+unimodular U and its exact integer inverse, and the cell B' = U B (built
+exactly by :func:`~bridgelen.geometry.change_basis`, its metrics computed
+in one stacked pass with the input cell's) is used when its aspect is
 strictly smaller than the input cell's; otherwise U = I, w = 0 and
 everything here is the input cell's.  In B' the motif is re-wrapped as
 f' = f U^-1 - w, w the integer floor, and the heights, the spreads, the
@@ -111,6 +115,7 @@ import numpy as np
 
 from .errors import DegenerateCell
 from .geometry import PeriodicSet, cell_metrics, change_basis, reduce_basis, row_norms
+from .geometry import stacked_cell_metrics
 
 #: Most (translation, pair) rows one block of a shell builds (a block holds
 #: at least one translation).  Working memory is bounded per block, not
@@ -165,38 +170,45 @@ def _decode(index, radix, offset) -> np.ndarray:
 
 def _shell_blocks(lo: np.ndarray, up: np.ndarray, first: int, last: int, block: int):
     """The integer vectors of shells ``first`` to ``last`` (L-infinity
-    norm in [first, last]) inside boxes ``lo[b] <= t <= up[b]`` (int32,
-    one row per box), in blocks.
+    norm in [first, last]) inside boxes ``lo[:, b] <= t <= up[:, b]``
+    (int32 columns of shape (n, boxes)), in blocks.
 
     Yields ``(t, box)``: ``t`` is an int32 block of 1 to ``block``
     translations, and ``box`` names the box of each row.
 
     A box clipped to the cube [-last, last]^n is a product of ranges, so
-    a mixed-radix range.  A range of one translation is its offset, with
-    no decode.  The other ranges are decoded together, each row with its
-    own box's radices, so many small boxes make one block.  For first > 0
-    the decoded rows of norm below ``first`` are dropped before any length
-    is computed, so a block can hold fewer than ``block`` rows.  Every
-    vector of a box comes once, and no (2 last + 1)^n grid is built.
+    a mixed-radix range.  A box takes part iff that clip is non-empty and
+    its far corner, the point of largest norm, has norm >= ``first``; no
+    other bound on the box is needed.  A range of one translation is its
+    offset, with no decode.  The other ranges are decoded together, each
+    row with its own box's radices, so many small boxes make one block.
+    For first > 0 the decoded rows of norm below ``first`` are dropped
+    before any length is computed, so a block can hold fewer than
+    ``block`` rows.  Every vector of a box comes once, and no
+    (2 last + 1)^n grid is built.
     """
-    # (box, axis) arrays: each box clipped to the cube
+    # (axis, box) arrays: each box clipped to the cube
     offset = np.maximum(lo, -last)
-    radix = np.maximum(np.minimum(up, last) - offset + 1, 0)
+    top = np.minimum(up, last)
+    meets = (offset <= top).all(axis=0)
+    if first > 0:  # a non-empty clip always reaches shell 0
+        meets &= np.maximum(-offset, top).max(axis=0) >= first
+    (box,) = np.nonzero(meets)
+    # (box, axis) arrays of the boxes that meet the build
+    offset = offset.take(box, 1).T
+    radix = top.take(box, 1).T - offset + 1
     count = radix.prod(axis=1, dtype=np.int64)
-    one = count == 1
-    if first > 0:
-        one &= np.abs(offset).max(axis=1) >= first
-    (box,) = np.nonzero(one)
-    for start in range(0, len(box), block):
-        part = box[start : start + block]
-        yield offset[part], part
-    (box,) = np.nonzero(count > 1)
-    if len(box) == 0:
+    (one,) = np.nonzero(count == 1)
+    for start in range(0, len(one), block):
+        part = one[start : start + block]
+        yield offset[part], box[part]
+    (many,) = np.nonzero(count > 1)
+    if len(many) == 0:
         return
     # one row per range, and the first index of each
-    rad, off = radix[box], offset[box]
-    end = np.cumsum(count[box])
-    first_index = end - count[box]
+    box, rad, off = box[many], radix[many], offset[many]
+    end = np.cumsum(count[many])
+    first_index = end - count[many]
     for start in range(0, int(end[-1]), block):
         index = np.arange(start, min(start + block, int(end[-1])))
         q = np.searchsorted(end, index, side="right")
@@ -215,28 +227,34 @@ def _lex_positive_rows(t: np.ndarray) -> np.ndarray:
     return t[np.arange(len(t)), first] > 0
 
 
-def _reduced_cell(pset: PeriodicSet):
-    """The LLL-reduced cell U B of ``pset`` and its motif there, or None
-    if the basis is reduced already (up to the order and signs of its
-    rows) or U^-1 or the cell's metrics cannot be had exactly.
+def _cells(pset: PeriodicSet):
+    """The metrics of the input cell B of ``pset``, and its LLL-reduced
+    cell U B with the motif there, or None if that cell is not strictly
+    better shaped or its metrics cannot be had.
 
-    Returns ``(metrics, u, frac, wrap)``: the metrics of U B; U; the
-    motif re-wrapped as f' = f U^-1 - w, w = floor(f U^-1); and the
-    integers w as an (m + 1, n) float array whose last row, for the
-    stream's extra zero point, is 0.  U^-1 is the float inverse rounded
-    to integers, used only if it is the exact inverse.
+    The reduction comes first: when U is a signed permutation the cell
+    is the same and only B's metrics are computed; otherwise those of B
+    and U B are computed in one stacked pass.  If that pass leaves the
+    floating-point range, B's metrics are computed alone, so an input
+    cell outside it raises its own DegenerateCell and a reduced one is
+    not used.
+
+    The reduced cell is ``(metrics, u, frac, wrap)``: the metrics of U B;
+    U; the motif re-wrapped as f' = f U^-1 - w, w = floor(f U^-1), with
+    the exact U^-1 of the reduction; and the integers w as an (m + 1, n)
+    float array whose last row, for the stream's extra zero point, is 0.
     """
     n = pset.dim
-    u = reduce_basis(pset.basis.vectors)
+    u, inverse = reduce_basis(pset.basis.vectors)
     if np.count_nonzero(u) == n:  # a signed permutation: the same cell
-        return None
-    inverse = np.rint(np.linalg.inv(u)).astype(np.int64)
-    if not (inverse @ u == np.eye(n, dtype=np.int64)).all():
-        return None
+        return cell_metrics(pset.basis), None
     try:
-        metrics = cell_metrics(change_basis(pset.basis, u))
+        cells = np.stack([pset.basis.vectors, change_basis(pset.basis, u).vectors])
+        metrics, reduced = stacked_cell_metrics(cells)
     except DegenerateCell:
-        return None
+        return cell_metrics(pset.basis), None
+    if not reduced.aspect < metrics.aspect:
+        return metrics, None
     points = pset.motif.points
     image = points @ inverse
     wrap = np.floor(image)
@@ -245,7 +263,7 @@ def _reduced_cell(pset: PeriodicSet):
     fold = frac >= 1.0
     frac[fold] = 0.0
     wrap[fold] += 1.0
-    return metrics, u, frac, np.concatenate([wrap, np.zeros((1, n))])
+    return metrics, (reduced, u, frac, np.concatenate([wrap, np.zeros((1, n))]))
 
 
 def _yield_order(length, source, dest, translation) -> np.ndarray:
@@ -290,12 +308,11 @@ class EdgeGenerator:
         self._n = pset.dim
         self._basis = pset.basis.vectors
         cart = pset.cartesian_motif
-        self.metrics = cell_metrics(pset.basis)
+        self.metrics, reduced = _cells(pset)
         # the cell whose shells are built: the input's, or a reduced one
         self._cell, self._unimodular = self.metrics, None
         frac = pset.motif.points
-        reduced = _reduced_cell(pset)
-        if reduced is not None and reduced[0].aspect < self.metrics.aspect:
+        if reduced is not None:
             self._cell, u, frac, self._wrap = reduced
             self._unimodular = u.astype(float)
         self._heights = np.array(self._cell.heights)
@@ -308,13 +325,19 @@ class EdgeGenerator:
         self.max_length = max_length
         cube = (self.metrics.vol / self._m) ** (1.0 / self._n)
         self._horizon = min(max_length, _START_FACTOR * cube)
-        # motif pairs i < j, then the self class as one more pair, from an
-        # extra zero point to itself: its length expression (0 + shift) - 0
-        # is the shift exactly
-        pair_src, pair_dst = np.triu_indices(self._m, k=1)
-        self._self_pair = len(pair_src)
-        self._pair_src = np.append(pair_src, self._m).astype(np.int32)
-        self._pair_dst = np.append(pair_dst, self._m).astype(np.int32)
+        # motif pairs i < j in row-major order, then the self class as one
+        # more pair, from an extra zero point m to itself: its length
+        # expression (0 + shift) - 0 is the shift exactly
+        m = self._m
+        point = np.arange(m + 1, dtype=np.int32)
+        partners = np.where(point < m, m - 1 - point, 1)
+        self._pair_src = np.repeat(point, partners)
+        # row i counts up from min(i + 1, m) at its first index, the sum
+        # of the partners before it
+        start = np.cumsum(partners, dtype=np.int32) - partners
+        self._pair_dst = np.repeat(np.minimum(point + 1, m) - start, partners)
+        self._pair_dst += np.arange(len(self._pair_dst), dtype=np.int32)
+        self._self_pair = len(self._pair_dst) - 1
         zero = np.zeros((1, self._n))
         # (m + 1, n) motif, and its fractional axes as contiguous columns;
         # a block's rows are gathered by pair index, no pair copy is kept
@@ -402,7 +425,10 @@ class EdgeGenerator:
     def _set_boxes(self, hi: float) -> None:
         """Give every pair, the self class (the last pair, Delta = 0)
         included, the box of translations that can bring it within ``hi``,
-        and drop the pairs whose box is empty.
+        and drop the pairs whose box is empty.  The live boxes are kept as
+        (n, live) int32 columns ``lo`` and ``up``, with no shell bounds:
+        :func:`_shell_blocks` clips each one to a build's cube, and the clip
+        decides whether it meets the build.
 
         The edge x = (f_j - f_i + t) B of pair (i, j) has |x| >= |f_jk -
         f_ik + t_k| h_k on every axis k, h_k being the cell height over
@@ -438,9 +464,6 @@ class EdgeGenerator:
         pairs = len(self._pair_src)
         lo = np.empty((self._n, pairs), dtype=np.int32)
         up = np.empty_like(lo)
-        # a box meets shells first..last iff near <= last and far >= first
-        near = np.empty(pairs, dtype=np.int32)
-        far = np.empty(pairs, dtype=np.int32)
         empty = np.empty(pairs, dtype=bool)
         for start in range(0, pairs, _BLOCK):
             part = slice(start, start + _BLOCK)
@@ -450,13 +473,9 @@ class EdgeGenerator:
             np.ceil(-radius - delta, out=lo_p, casting="unsafe")
             np.floor(radius - delta, out=up_p, casting="unsafe")
             np.any(lo_p > up_p, axis=0, out=empty[part])
-            np.max(np.maximum(lo_p, -up_p), axis=0, out=near[part])
-            np.max(np.maximum(-lo_p, up_p), axis=0, out=far[part])
         (self._live,) = np.nonzero(~empty)
-        self._box_lo = lo.T[self._live]
-        self._box_up = up.T[self._live]
-        self._box_near = near[self._live]
-        self._box_far = far[self._live]
+        self._box_lo = lo.take(self._live, 1)
+        self._box_up = up.take(self._live, 1)
         self._box_horizon = hi
 
     def _collect(self, first: int, last: int, lo: float, hi: float):
@@ -466,11 +485,8 @@ class EdgeGenerator:
         computed only for the translations in each pair's box."""
         if hi != self._box_horizon:
             self._set_boxes(hi)
-        (hit,) = np.nonzero((self._box_near <= last) & (self._box_far >= first))
-        live = self._live[hit]
-        lo_hit, up_hit = self._box_lo[hit], self._box_up[hit]
-        for t, box in _shell_blocks(lo_hit, up_hit, first, last, _BLOCK):
-            pair = live[box]
+        for t, box in _shell_blocks(self._box_lo, self._box_up, first, last, _BLOCK):
+            pair = self._live[box]
             if self._unimodular is not None:
                 t = self._input_translations(t, pair)
             # a stacked (1, n) @ (n, n) product rounds each row as the

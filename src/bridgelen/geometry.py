@@ -11,9 +11,11 @@ Conventions used throughout the package:
 The cell scalars computed by :func:`cell_metrics` bound the bridge-length
 computation: ``r_upper = max(b, d/2)`` is an upper bound on the bridge
 length of any set with this cell, and the aspect ratio ``r_upper / h``
-bounds how many shells of neighbouring cells the edge stream must visit.
+bounds how many shells of neighbouring cells the edge stream must visit;
+:func:`stacked_cell_metrics` computes them for several cells in one pass.
 :func:`reduce_basis` finds an LLL-reduced basis of the same lattice, whose
-aspect is often far smaller than that of a sheared input cell, and
+aspect is often far smaller than that of a sheared input cell, with the
+exact unimodular change of basis and its inverse, and
 :func:`change_basis` builds it exactly.
 """
 
@@ -362,17 +364,19 @@ def _diagonal_signs(n: int) -> np.ndarray:
     return signs
 
 
-def facet_volumes(basis: LatticeBasis) -> np.ndarray:
-    """(n-1)-volume of each facet: entry i spans all basis vectors but v_i.
+def facet_volumes(vectors: np.ndarray) -> np.ndarray:
+    """(n-1)-volume of each facet of each basis in the (..., n, n) stack
+    ``vectors``: entry i spans all basis vectors but v_i.
 
-    Computed as sqrt(det(Gram)) of the remaining vectors, all n Gram
+    Computed as sqrt(det(Gram)) of the remaining vectors, all Gram
     matrices in one stacked product and one stacked determinant; for n=1
     the empty facet has volume 1 by convention.
     """
-    if basis.dim == 1:
-        return np.ones(1)
-    rest = basis.vectors[_facet_rows(basis.dim)]
-    gram = rest @ rest.transpose(0, 2, 1)
+    n = vectors.shape[-1]
+    if n == 1:
+        return np.ones(vectors.shape[:-1])
+    rest = vectors[..., _facet_rows(n), :]
+    gram = rest @ rest.swapaxes(-1, -2)
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
@@ -389,27 +393,44 @@ def facet_heights(basis: LatticeBasis) -> np.ndarray:
 
 def cell_metrics(basis: LatticeBasis) -> CellMetrics:
     """All cell-derived scalars used by the bridge algorithm's bounds."""
-    v = basis.vectors
-    n = basis.dim
-    with _float_range(v):
-        b = float(np.max(row_norms(v)))
+    return stacked_cell_metrics(basis.vectors[None])[0]
+
+
+def stacked_cell_metrics(vectors: np.ndarray) -> list[CellMetrics]:
+    """The :func:`cell_metrics` of each basis in the (k, n, n) stack
+    ``vectors`` (the rows of valid :class:`LatticeBasis` vectors), in one
+    pass of stacked array calls.
+
+    Every call rounds each basis as it would round it alone, so each
+    result is the one-cell result bit for bit.  If any basis leaves the
+    floating-point range, DegenerateCell names the largest entry of all.
+    """
+    n = vectors.shape[-1]
+    with _float_range(vectors):
+        b = np.max(row_norms(vectors), axis=-1)
         # Diagonals are all signed sums of basis vectors; fixing the first sign
         # halves the (symmetric) enumeration.
-        diagonals = v[0] + (_diagonal_signs(n) @ v[1:])[:, 0]
-        d = float(np.max(row_norms(diagonals)))
-        vol = abs(float(np.linalg.det(v)))
-        heights = vol / facet_volumes(basis)
-        h = float(np.min(heights))
+        signed = (_diagonal_signs(n) @ vectors[:, None, 1:])[:, :, 0]
+        diagonals = vectors[:, None, 0] + signed
+        d = np.max(row_norms(diagonals), axis=-1)
+        vol = np.abs(np.linalg.det(vectors))
+        heights = vol[:, None] / facet_volumes(vectors)
+    metrics = []
+    for b, d, vol, heights in zip(*(a.tolist() for a in (b, d, vol, heights))):
         r_upper = max(b, d / 2.0)
-        return CellMetrics(
-            b=b,
-            d=d,
-            vol=vol,
-            h=h,
-            r_upper=r_upper,
-            aspect=r_upper / h,
-            heights=tuple(heights.tolist()),
+        h = min(heights)
+        metrics.append(
+            CellMetrics(
+                b=b,
+                d=d,
+                vol=vol,
+                h=h,
+                r_upper=r_upper,
+                aspect=r_upper / h,
+                heights=tuple(heights),
+            )
         )
+    return metrics
 
 
 def _is_reduced(gram: list) -> bool:
@@ -450,10 +471,10 @@ def _by_length(gram: list) -> list:
     return [[gram[i][j] for j in order] for i in order]
 
 
-def reduce_basis(vectors) -> np.ndarray:
-    """Unimodular integer U, as int64, with the rows of ``U @ vectors`` an
-    LLL-reduced basis (delta = 3/4) of the lattice of ``vectors``, up to
-    their order.
+def reduce_basis(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Unimodular integer U and its inverse, both int64, with the rows of
+    ``U @ vectors`` an LLL-reduced basis (delta = 3/4) of the lattice of
+    ``vectors``, up to their order.
 
     The basis is scaled by the power of two of its largest entry first, so
     that its longest vector has length between 1/2 and sqrt(n) and the
@@ -465,19 +486,25 @@ def reduce_basis(vectors) -> np.ndarray:
     identity from that test alone: reordering its rows would give the same
     cell.  Otherwise the textbook reduction (Lenstra, Lenstra & Lovasz,
     Math. Ann. 261, 1982) runs on the scaled rows in floats, applying every
-    row operation to U as well: U is exact whatever the rounding, and only
-    how well ``U @ vectors`` is reduced depends on it.
+    row operation to U as well, and its inverse to U^-1: when row k of U
+    loses q times row j, column j of U^-1 gains q times column k, and when
+    two rows of U swap, the same two columns of U^-1 swap.  Both are kept
+    in Python integers, so they are exact and exactly inverse whatever the
+    rounding; only how well ``U @ vectors`` is reduced depends on it.
     """
     basis = np.asarray(vectors, dtype=float)
     n = len(basis)
     basis = np.ldexp(basis, -math.frexp(float(np.abs(basis).max()))[1])
     gram = (basis @ basis.T).tolist()
     if _is_reduced(gram) or _is_reduced(_by_length(gram)):
-        return np.eye(n, dtype=np.int64)
+        eye = np.eye(n, dtype=np.int64)
+        return eye, eye
     # Python lists: a few dozen short dot products, cheaper than array
-    # calls at this size; U in Python integers, which cannot overflow
+    # calls at this size; U and the columns of U^-1 in Python integers,
+    # which cannot overflow
     b = basis.tolist()
     u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in u]
     star, norm2 = [None] * n, [0.0] * n  # Gram-Schmidt rows, squared norms
 
     def orthogonalise(k):
@@ -497,16 +524,18 @@ def reduce_basis(vectors) -> np.ndarray:
                 q = round(c)
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                inverse[j] = [x + q * y for x, y in zip(inverse[j], inverse[k])]
         orthogonalise(k)
         c = sum(x * y for x, y in zip(star[k - 1], b[k])) / norm2[k - 1]
         if norm2[k] < (LLL_DELTA * (1.0 - _LLL_TOL) - c * c) * norm2[k - 1]:
             b[k - 1], b[k] = b[k], b[k - 1]
             u[k - 1], u[k] = u[k], u[k - 1]
+            inverse[k - 1], inverse[k] = inverse[k], inverse[k - 1]
             orthogonalise(k - 1)
             k = max(k - 1, 1)
         else:
             k += 1
-    return np.array(u, dtype=np.int64)
+    return np.array(u, dtype=np.int64), np.array(list(zip(*inverse)), dtype=np.int64)
 
 
 def change_basis(basis: LatticeBasis, u) -> LatticeBasis:

@@ -120,17 +120,22 @@ def random_motif(rng: np.random.Generator, n: int, m: int, min_sep: float = 5e-2
 
     All m points are drawn at once until a draw is separated, so the odds
     fall steeply with m; after ``MOTIF_DRAWS`` failed draws it raises
-    ValueError rather than run on.
+    ValueError rather than run on.  It raises at once, drawing nothing,
+    when packing rules every draw out: m disjoint balls of radius
+    min_sep / 2 in the unit torus need m V_n (min_sep / 2)^n <= 1, V_n
+    being the volume of the unit n-ball.
     """
+    message = f"no {m} points in {n}-D pairwise {min_sep} apart"
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * (min_sep / 2) ** n
+    if m * ball > 1:
+        raise ValueError(f"{message}: {m} balls of radius {min_sep / 2} do not fit")
     for _ in range(MOTIF_DRAWS):
         pts = rng.random((m, n))
         try:
             return Motif(pts, dedup_tol=min_sep)
         except ValueError:
             continue
-    raise ValueError(
-        f"no {m} points in {n}-D pairwise {min_sep} apart in {MOTIF_DRAWS} draws"
-    )
+    raise ValueError(f"{message} in {MOTIF_DRAWS} draws")
 
 
 def random_set(

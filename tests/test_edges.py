@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bridgelen import (
+    DegenerateCell,
     EdgeGenerator,
     LatticeBasis,
     Motif,
@@ -226,7 +227,8 @@ def build_vectors(n, first, last):
 
 
 def unbounded_box(n):
-    big = np.full((1, n), 2**30, dtype=np.int32)
+    """One box as (n, 1) columns ``lo``, ``up``, wider than any build."""
+    big = np.full((n, 1), 2**30, dtype=np.int32)
     return -big, big
 
 
@@ -299,8 +301,9 @@ class TestShellBlocksInBoxes:
             narrow = rng.integers(-2, 2, size=(int(rng.integers(0, 6)), n))
             narrow_up = narrow + rng.integers(0, 2, size=narrow.shape)
             mix = rng.permutation(len(wide) + len(narrow))
-            lo = np.concatenate([wide, narrow])[mix].astype(np.int32)
-            up = np.concatenate([wide_up, narrow_up])[mix].astype(np.int32)
+            # (n, boxes) columns, as the stream keeps them
+            lo = np.concatenate([wide, narrow])[mix].T.astype(np.int32)
+            up = np.concatenate([wide_up, narrow_up])[mix].T.astype(np.int32)
             got = []
             for t, box in edges_module._shell_blocks(lo, up, first, last, block):
                 assert t.dtype == np.int32 and box.shape == (len(t),)
@@ -309,8 +312,8 @@ class TestShellBlocksInBoxes:
             in_build = set(build_vectors(n, first, last))
             expected = [
                 (b, v)
-                for b in range(len(lo))
-                for v in itertools.product(*map(range, lo[b], up[b] + 1))
+                for b in range(lo.shape[1])
+                for v in itertools.product(*map(range, lo[:, b], up[:, b] + 1))
                 if v in in_build
             ]
             assert sorted(got) == sorted(expected)
@@ -324,8 +327,9 @@ class TestShellBlocksInBoxes:
             raise AssertionError("decoded a one-translation range")
 
         monkeypatch.setattr(edges_module, "_decode", refuse)
-        lo = np.array([[0, 0, 0], [-1, 1, 0], [last, -3, 5], [-last, 0, 0]], dtype=np.int32)
-        up = np.array([[0, 0, 0], [-1, 1, 0], [last, 3, 5], [-last, 0, 0]], dtype=np.int32)
+        lo_rows = [[0, 0, 0], [-1, 1, 0], [last, -3, 5], [-last, 0, 0]]
+        up_rows = [[0, 0, 0], [-1, 1, 0], [last, 3, 5], [-last, 0, 0]]
+        lo, up = (np.array(rows, dtype=np.int32).T for rows in (lo_rows, up_rows))
         for block in (1, 2, 4096):
             got = [
                 (int(b), tuple(v))
@@ -337,8 +341,107 @@ class TestShellBlocksInBoxes:
 
     @pytest.mark.parametrize("first, last", STREAM_RANGES)
     def test_no_boxes(self, first, last):
-        none = np.empty((0, 3), dtype=np.int32)
+        none = np.empty((3, 0), dtype=np.int32)
         assert list(edges_module._shell_blocks(none, none, first, last, 4096)) == []
+
+
+def near_far_blocks(lo, up, first, last, block):
+    """The blocks of shells ``first`` to ``last`` in boxes ``lo[b] <= t <=
+    up[b]`` (rows), in plain Python, by each box's shell bounds: the boxes
+    with near <= last and far >= first, near and far being the L-infinity
+    norms of the box's nearest and farthest points; each clipped to
+    [-last, last]^n; the clips of one translation (of norm >= ``first``)
+    first, ``block`` boxes at a time; then the other clips in mixed-radix
+    order, ``block`` indices at a time, less the rows of norm below
+    ``first``, with no empty block.  Returns (rows, boxes) lists."""
+    near = np.maximum(lo, -up).max(axis=1)
+    far = np.maximum(-lo, up).max(axis=1)
+    hit = np.nonzero((near <= last) & (far >= first))[0].tolist()
+    clip = {
+        b: [range(max(a, -last), min(z, last) + 1) for a, z in zip(lo[b], up[b])]
+        for b in hit
+    }
+    ones = [
+        b
+        for b in hit
+        if math.prod(map(len, clip[b])) == 1
+        and max(abs(r[0]) for r in clip[b]) >= first
+    ]
+    blocks = []
+    for start in range(0, len(ones), block):
+        part = ones[start : start + block]
+        blocks.append(([[r[0] for r in clip[b]] for b in part], part))
+    rows = [
+        (list(v), b)
+        for b in hit
+        if math.prod(map(len, clip[b])) > 1
+        for v in itertools.product(*clip[b])
+    ]
+    for start in range(0, len(rows), block):
+        part = rows[start : start + block]
+        kept = [(v, b) for v, b in part if max(map(abs, v)) >= first]
+        if kept:
+            blocks.append(([v for v, _ in kept], [b for _, b in kept]))
+    return blocks
+
+
+#: Every (first, last) range the stream builds: the cube, shell s alone,
+#: and rescans of the shells up to k.
+BUILD_RANGES = [(0, 1), (2, 2), (3, 3), (4, 4), (0, 2), (0, 3), (0, 4)]
+
+
+def column_blocks(lo, up, first, last, block):
+    """``_shell_blocks`` on the columns of ``lo`` and ``up`` (rows), as
+    (rows, boxes) lists."""
+    columns = (np.ascontiguousarray(a.T) for a in (lo, up))
+    return [
+        (t.tolist(), box.tolist())
+        for t, box in edges_module._shell_blocks(*columns, first, last, block)
+    ]
+
+
+class TestClipDecidesTheBoxes:
+    """The clip alone gives the rows, their order and the block boundaries
+    that the near and far shell bounds of each box give."""
+
+    @pytest.mark.parametrize("first, last", BUILD_RANGES)
+    @pytest.mark.parametrize("block", [1, 3, 64, 4096])
+    def test_random_boxes(self, first, last, block):
+        # boxes inside the inner cube, across it, beyond the cube, and of
+        # one cell or one translation, in 1 to 4 dimensions
+        rng = np.random.default_rng(1000 * first + 10 * last + block)
+        for _ in range(25):
+            n = int(rng.integers(1, 5))
+            k = int(rng.integers(0, 9))
+            lo = rng.integers(-last - 2, last + 2, size=(k, n))
+            up = lo + rng.integers(0, [1, 2, 6][int(rng.integers(3))], size=(k, n))
+            lo, up = lo.astype(np.int32), up.astype(np.int32)
+            assert column_blocks(lo, up, first, last, block) == near_far_blocks(
+                lo, up, first, last, block
+            )
+
+    def test_stream_boxes(self):
+        # the boxes the stream keeps for two horizons, in the input cell
+        # and in a reduced one
+        rng = np.random.default_rng(1001)
+        psets = [slab_19(), random_set(rng, n=2, m=6), random_set(rng, n=3, m=5)]
+        u = random_unimodular(rng, 3)
+        base = random_set(rng, n=3, m=3)
+        psets.append(
+            PeriodicSet(
+                LatticeBasis(u @ base.basis.vectors),
+                Motif(base.motif.points @ np.linalg.inv(u)),
+            )
+        )
+        for pset in psets:
+            gen = EdgeGenerator(pset)
+            for hi in (gen.metrics.h, gen.max_length):
+                gen._set_boxes(hi)
+                lo, up = gen._box_lo.T, gen._box_up.T
+                for first, last in BUILD_RANGES:
+                    for block in (7, 4096):
+                        got = column_blocks(lo, up, first, last, block)
+                        assert got == near_far_blocks(lo, up, first, last, block)
 
 
 class TestCapsAndHorizons:
@@ -864,8 +967,10 @@ class TestKeyOrderInTheCube:
 
 
 def keep_input_cell(vectors):
-    """Stand-in for ``reduce_basis`` that keeps every input cell."""
-    return np.eye(len(vectors), dtype=np.int64)
+    """Stand-in for ``reduce_basis`` that keeps every input cell: U and
+    U^-1 are the identity."""
+    eye = np.eye(len(vectors), dtype=np.int64)
+    return eye, eye
 
 
 def input_cell_length(pset: PeriodicSet, edge) -> float:
@@ -915,7 +1020,21 @@ class TestReducedCell:
         a = 1e-150
         basis = np.array([[1, a, 0], [0, 1, 0], [5, 5 * math.nextafter(a, 1), 1]])
         pset = make_set(basis, [[0, 0, 0], [0.3, 0.4, 0.5]])
-        assert not np.array_equal(edges_module.reduce_basis(basis), np.eye(3))
+        assert not np.array_equal(edges_module.reduce_basis(basis)[0], np.eye(3))
         gen = EdgeGenerator(pset)
         assert gen._unimodular is None
         assert bridge_length(pset).beta == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e80])
+    def test_input_cell_outside_the_float_range_raises_its_own_error(self, scale):
+        # the reduction runs first and finds Z^3, but the sheared input
+        # cell's facet Gram determinants leave the float range: the stream
+        # raises the input cell's own error
+        basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3.0, 3.0, 1.0]]) * scale
+        pset = make_set(basis, [[0.0, 0.0, 0.0]])
+        assert not np.array_equal(edges_module.reduce_basis(basis)[0], np.eye(3))
+        with pytest.raises(DegenerateCell) as alone:
+            cell_metrics(pset.basis)
+        with pytest.raises(DegenerateCell, match="outside the floating-point range") as got:
+            EdgeGenerator(pset)
+        assert str(got.value) == str(alone.value)

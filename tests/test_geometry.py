@@ -25,6 +25,7 @@ from bridgelen.geometry import (
     change_basis,
     reduce_basis,
     row_norms,
+    stacked_cell_metrics,
     wrap_fractional,
     wrapped_delta,
 )
@@ -87,6 +88,33 @@ def metrics_or_error(basis: LatticeBasis, fn):
     except DegenerateCell as exc:
         return str(exc)
     return [x.hex() for x in (m.b, m.d, m.vol, m.h, m.r_upper, m.aspect, *m.heights)]
+
+
+def assert_stacked_pass_matches(basis: LatticeBasis, u) -> None:
+    """The one pass over [B, U B] gives each cell's metrics bit for bit as
+    cell_metrics and the loop form give them alone, and raises
+    DegenerateCell iff either cell leaves the float range (U B entries
+    rounded once from their exact values, as change_basis rounds them).
+    A U B too flat to be a LatticeBasis is no input of the pass."""
+    cells = np.stack([basis.vectors, fraction_product(u, basis.vectors)])
+    alone = []
+    for v in cells:
+        try:
+            cell = LatticeBasis(v)
+        except DegenerateCell as exc:
+            if "singular" in str(exc):
+                return
+            alone.append(str(exc))
+            continue
+        alone.append(metrics_or_error(cell, cell_metrics))
+        assert alone[-1] == metrics_or_error(cell, loop_cell_metrics)
+    try:
+        stacked = stacked_cell_metrics(cells)
+    except DegenerateCell as exc:
+        assert "outside the floating-point range" in str(exc)
+        assert any(isinstance(one, str) for one in alone)
+    else:
+        assert [metrics_or_error(None, lambda _: m) for m in stacked] == alone
 
 
 class TestCellMetrics:
@@ -201,6 +229,40 @@ class TestCellMetrics:
             basis, loop_cell_metrics
         )
 
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(-170.0, 170.0),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_pass_matches_one_cell_calls(self, n, seed, exponent, reduce):
+        # a cell B and another basis U B of its lattice, U from the
+        # reduction or a random shear, at scales from 1e-170 to 1e170
+        rng = np.random.default_rng(seed)
+        try:
+            basis = LatticeBasis(rng.normal(size=(n, n)) * 10.0**exponent)
+        except (DegenerateCell, ValueError):
+            return
+        if reduce:
+            u = reduce_basis(basis.vectors)[0]
+        else:
+            u = random_unimodular(rng, n, steps=n, reach=3)
+        assert_stacked_pass_matches(basis, u)
+
+    def test_stacked_pass_refuses_a_reduced_cell_outside_the_float_range(self):
+        # b3 - 5 b1 = (0, 5 a' - 5 a, 1) has an entry of 1e-165, whose
+        # square underflows: B computes, U B does not, and neither does
+        # the pair
+        a = 1e-150
+        basis = LatticeBasis([[1, a, 0], [0, 1, 0], [5, 5 * math.nextafter(a, 1), 1]])
+        u = reduce_basis(basis.vectors)[0]
+        assert not np.array_equal(u, np.eye(3))
+        assert_stacked_pass_matches(basis, u)
+        cells = np.stack([basis.vectors, fraction_product(u, basis.vectors)])
+        with pytest.raises(DegenerateCell, match="outside the floating-point range"):
+            stacked_cell_metrics(cells)
+
     @pytest.mark.parametrize(
         "n, scale", [(3, 1e80), (3, 1e-80), (8, 1e25), (8, 1e-25), (4, 1e60)]
     )
@@ -257,9 +319,22 @@ class TestMotif:
             Motif([[0.1, 0.2], [0.1, 0.2]])
 
     def test_random_motif_gives_up_on_a_hopeless_draw(self):
-        # 29 points 0.05 apart cannot fit on a circle of length 1
+        # 29 points 0.05 apart cannot fit on a circle of length 1: packing
+        # rules it out before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"no 29 points in 1-D pairwise 0\.05"):
-            random_motif(np.random.default_rng(0), 1, 29)
+            random_motif(rng, 1, 29)
+        assert rng.bit_generator.state == state
+
+    def test_random_motif_gives_up_after_its_draws(self, monkeypatch):
+        # 12 points in 1-D fit, but the first two draws of this seed fail
+        import conftest
+
+        monkeypatch.setattr(conftest, "MOTIF_DRAWS", 2)
+        message = r"no 12 points in 1-D pairwise 0\.05 .* 2 draws"
+        with pytest.raises(ValueError, match=message):
+            random_motif(np.random.default_rng(0), 1, 12)
 
     def test_rejects_wrap_duplicates(self):
         with pytest.raises(ValueError, match="coincide"):
@@ -437,6 +512,15 @@ def is_lll_reduced(vectors, delta=0.75, tol=1e-9) -> bool:
     return bool(size and lovasz.all())
 
 
+def assert_exact_inverse(u, inverse):
+    """U and U^-1 are int64 (n, n) arrays whose products are I in int64."""
+    n = len(u)
+    assert u.dtype == inverse.dtype == np.int64
+    assert u.shape == inverse.shape == (n, n)
+    assert np.array_equal(inverse @ u, np.eye(n, dtype=np.int64))
+    assert np.array_equal(u @ inverse, np.eye(n, dtype=np.int64))
+
+
 class TestReduceBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_unimodular_int64_and_reduced(self, n):
@@ -444,15 +528,30 @@ class TestReduceBasis:
         reduced_some = False
         for _ in range(40):
             vectors = random_unimodular(rng, n, steps=4) @ random_basis(rng, n).vectors
-            u = reduce_basis(vectors)
+            u, inverse = reduce_basis(vectors)
             reduced_some |= not np.array_equal(u, np.eye(n))
-            assert u.dtype == np.int64 and u.shape == (n, n)
+            assert_exact_inverse(u, inverse)
             assert round(abs(np.linalg.det(u))) == 1
             assert abs(np.linalg.det(u.astype(float))) == pytest.approx(1.0)
             reduced = change_basis(LatticeBasis(vectors), u).vectors
             order = np.argsort(row_norms(reduced), kind="stable")
             assert is_lll_reduced(reduced) or is_lll_reduced(reduced[order])
         assert reduced_some or n == 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inverse_is_exact_on_sheared_bases_at_every_scale(self, n):
+        # long products of shears, up to +-9 a step, at scales 1e-150 to
+        # 1e150: U^-1 U = I in int64 however far the reduction runs
+        rng = np.random.default_rng(170 + n)
+        sheared = 0
+        for k in (-150, -60, -20, -3, 0, 3, 20, 60, 150):
+            for _ in range(6):
+                shear = random_unimodular(rng, n, steps=3 * n, reach=9)
+                vectors = shear @ random_basis(rng, n).vectors * 10.0**k
+                u, inverse = reduce_basis(vectors)
+                assert_exact_inverse(u, inverse)
+                sheared += np.count_nonzero(u) > n
+        assert sheared >= 40 or n == 1
 
     def test_identity_on_every_fixture_cell(self):
         from bridgelen import read_set_file
@@ -462,8 +561,8 @@ class TestReduceBasis:
         assert len(paths) >= 8
         for path in paths:
             pset, _ = read_set_file(path)
-            u = reduce_basis(pset.basis.vectors)
-            assert np.array_equal(u, np.eye(pset.dim)), path
+            for a in reduce_basis(pset.basis.vectors):
+                assert np.array_equal(a, np.eye(pset.dim)), path
 
     def test_identity_on_every_dense_motif_basis(self, monkeypatch):
         monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "bench"))
@@ -472,12 +571,15 @@ class TestReduceBasis:
         cases = corpus.make("dense-motif", 101)
         assert len(cases) == 120
         for case in cases:
-            assert np.array_equal(reduce_basis(case.basis), np.eye(3)), case.name
+            for a in reduce_basis(case.basis):
+                assert np.array_equal(a, np.eye(3)), case.name
 
     @pytest.mark.parametrize("reach", [10, 30, 70, 150, 1000])
     def test_sheared_bcc_ladder_to_aspect_one(self, reach):
         basis = sheared_bcc(reach).basis
-        reduced = change_basis(basis, reduce_basis(basis.vectors))
+        u, inverse = reduce_basis(basis.vectors)
+        assert_exact_inverse(u, inverse)
+        reduced = change_basis(basis, u)
         assert cell_metrics(reduced).aspect == 1.0
 
     @pytest.mark.parametrize("n", [3, 8])
@@ -489,8 +591,10 @@ class TestReduceBasis:
         c = 10.0 ** (sign * k)
         shear = np.eye(n)
         shear[-1, :-1] = 3.0
-        assert np.array_equal(reduce_basis(np.eye(n) * c), np.eye(n))
-        u = reduce_basis(shear * c)
+        for a in reduce_basis(np.eye(n) * c):
+            assert np.array_equal(a, np.eye(n))
+        u, inverse = reduce_basis(shear * c)
+        assert_exact_inverse(u, inverse)
         assert np.array_equal(np.abs(u), np.abs(np.linalg.inv(shear)).round())
 
     def test_change_basis_rounds_each_entry_once(self):
