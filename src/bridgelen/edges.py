@@ -8,99 +8,106 @@ by ``translation``.  Canonical orientation: ``source < dest``, or
 ``source == dest`` with a lexicographically positive translation; the zero
 self-pair is never emitted.
 
-Candidates are enumerated by supercell shells (all cells at a fixed
-L-infinity distance).  Every build is a range of shells, ``first`` to
-``last``: the first build is the cube [-1, 1]^n, shells 0 and 1, and each
-later one is shell s >= 2 alone.  Lengths are computed only where they can
-fall in the band (lo, hi] being collected.  The edge x = (f_j - f_i + t) B
-of motif pair (i, j), f being fractional coordinates, has |x| >= |f_jk -
-f_ik + t_k| h_k on every axis k, h_k being the cell height over facet
-k.  So a class no longer than hi has its translation in an integer *box*,
-t_k in [ceil(-r_k - Delta_k), floor(r_k - Delta_k)] with Delta = f_j -
-f_i and r_k = hi / h_k, widened slightly against rounding; the self class
-is the pair with Delta = 0.  The boxes are computed once per band, as
-(n, live) columns, and the pairs whose box is empty are dropped.  A build
-is made only where it meets a live pair's box: each box is clipped to the
-one cube [-last, last]^n, and the clip alone decides whether the box takes
-part (it must be non-empty, and its far corner must reach shell
-``first``), so the boxes carry no shell bounds.  A clipped box is a
-mixed-radix range, decoded in blocks of (translation, pair) rows; a range
-of one translation is its offset, with no decode.  For first > 0 the rows
-of norm below ``first`` are dropped before any length is computed.  Each
-block gives its lengths in one numpy expression, the same for every row,
-and keeps those inside the band.  The buffer is a set of parallel arrays
-(length, source, dest, translation): after each build the unread rest and
-the new candidates are put in yield order and a cursor walks them.  The
-order is one stable ``np.argsort`` of the lengths; the full key is sorted
-only on the rows inside runs of equal length.  Edges
-leave the buffer in chunks: when the converted edges run out, the next
-``_CHUNK`` released rows at most become :class:`CandidateEdge` tuples,
-with one ``tolist()`` per column, and each ``next()`` hands out one.  So a
-CandidateEdge is built only for an edge yielded or for the rest of its
-chunk; converting the whole released run at once would build many that a
-consumer stopping early never reads.  A buffered edge of length L is
-released only when L is strictly below the *height-projected* lower bound
-on every edge reaching any un-enumerated shell:
+Candidates are enumerated in *builds*, boxes of translations scaled by
+the cell heights, as a triclinic neighbour search takes ceil(r / h_k)
+images on axis k.  Build L covers the box |t_k| <= e_k(L) = floor(L h_max
+/ h_k), capped at ``_BOX_CAP``, h_k being the cell height over facet k
+and h_max the largest, less the box of build L - 1.  Build 1 holds the
+cube [-1, 1]^n, L-infinity shells 0 and 1; in a cell of equal heights
+build L is shell L alone.  Lengths are computed only where they can fall
+in the band (lo, hi] being collected.  The edge x = (f_j - f_i + t) B of
+motif pair (i, j), f being fractional coordinates, has |x| >= |f_jk -
+f_ik + t_k| h_k on every axis k.  So a class no longer than hi has its
+translation in an integer *box*, t_k in [ceil(-r_k - Delta_k), floor(r_k
+- Delta_k)] with Delta = f_j - f_i and r_k = hi / h_k, widened slightly
+against rounding; the self class is the pair with Delta = 0.  The boxes
+are computed once per band, as (n, live) columns, and the pairs whose
+box is empty are dropped.  A build is made only where it meets a live
+pair's box: each box is clipped to the build's box, and the clip alone
+decides whether the box takes part (it must be non-empty, and its far
+corner must lie outside build L - 1's box on some axis), so the boxes
+carry no build bounds.  A clipped box is a mixed-radix range, decoded in
+blocks of (translation, pair) rows; a range of one translation is its
+offset, with no decode.  For L > 1 the decoded rows inside build L - 1's
+box are dropped before any length is computed.  Each block gives its
+lengths in one numpy expression, the same for every row, and keeps those
+inside the band.  The buffer is a set of parallel arrays (length,
+source, dest, translation): after each build the unread rest and the new
+candidates are put in yield order and a cursor walks them.  The order is
+one stable ``np.argsort`` of the lengths; the full key is sorted only on
+the rows inside runs of equal length.  Edges leave the buffer in chunks:
+when the converted edges run out, the next ``_CHUNK`` released rows at
+most become :class:`CandidateEdge` tuples, with one ``tolist()`` per
+column, and each ``next()`` hands out one.  So a CandidateEdge is built
+only for an edge yielded or for the rest of its chunk; converting the
+whole released run at once would build many that a consumer stopping
+early never reads.  A buffered edge of length L is released only when L
+is strictly below the *height-projected* lower bound on every edge of a
+translation not yet built:
 
-    bound(sigma) = min_k (sigma - spread_k) h_k
+    bound(e) = min_k (e_k + 1 - spread_k) h_k
 
-where h_k is the cell height over facet k and spread_k the extent of the
-motif's fractional coordinates on axis k.  An edge into shell sigma has
-|t_k| >= sigma on some axis k, so it advances at least sigma - spread_k
-cells along that height: sigma - 1 full heights plus the exit and entry
-legs to the faces.  The bound is exact for rectangular cells and safe
-for skewed ones.  It is computed in floats and then lowered by the
+where e are the last build's extents and spread_k the extent of the
+motif's fractional coordinates on axis k.  An unbuilt translation has
+|t_k| >= e_k + 1 on some axis k, so its edge advances at least e_k + 1 -
+spread_k cells along that height: e_k full heights plus the exit and
+entry legs to the faces.  The bound is exact for rectangular cells and
+safe for skewed ones.  It is computed in floats and then lowered by the
 margin the pair boxes are widened by, which covers every rounding on the
-way (see ``_set_boxes``): no computed length in an unbuilt shell falls
-below it.  The release is strict because an edge in an unvisited shell
-can be exactly as long as the bound; releasing at equality would yield
-it after a longer-keyed tie.  So the stream yields in (length, source,
-dest, translation) order, ties included.  The first release bound is
-bound(2), after the cube.
+way (see ``_set_boxes``): no computed length outside the built box falls
+below it.  The release is strict because an edge of an unbuilt
+translation can be exactly as long as the bound; releasing at equality
+would yield it after a longer-keyed tie.  So the stream yields in
+(length, source, dest, translation) order, ties included.  The first
+release bound comes after build 1.  Every axis's extent grows by about
+h_max / h_k a build, so the bound grows by about h_max, not by the
+smallest height: after build L it exceeds (L - 1) h_max, less the margin
+(see ``_release_bound``), and a slab or a needle takes as few builds as a
+cell whose heights are all its largest one.
 
 Building shells 0 and 1 together moves no bridge: a bridge needs an edge
 of shell 1 or beyond before it can stop, because the translations of
 shell 0, t = (w_src - w_dst) U (zero in the input cell, see below), give
-every cycle a sum of 0.  So a stream read up to its bridge length built
-shell 1 before as well, and its shell count is the same; only edges that
-straddled a release bound between shells 0 and 1 move, into key order.
+every cycle a sum of 0.
 
 The horizon ``max_length`` is the stream's only stop rule: edges longer
 than it are never yielded, and the stream ends once the release bound
 passes it.  It defaults to the cell bound r_upper (plus the box margin),
-and every edge up to r_upper lies within ceil(aspect) + 1 shells.  Inside
+and every edge up to r_upper lies within ceil(aspect) + 1 builds.  Inside
 it the stream keeps a smaller *working horizon* H, which starts at twice
 the edge of a cube holding one motif point, 2 (vol / m)^(1/n), capped at
-``max_length``.  Shells are built keeping only the edges up to H.  When the
-release bound passes H with the buffer empty, H doubles (again capped at
-``max_length``) and the sigma shells already built are scanned once more,
-as one build of shells 0 to sigma - 1, for the band (H_old, H_new] alone,
-within the boxes for H_new.  Every length is computed by the same
+``max_length``.  Builds keep only the edges up to H.  When the release
+bound passes H with the buffer empty, H doubles (again capped at
+``max_length``) and the box of the last build, which holds every build so
+far, is scanned once more, as one build, for the band (H_old, H_new]
+alone, within the boxes for H_new.  Every length is computed by the same
 expression in every pass, so each class falls in exactly one band, and
 the edges up to H are a prefix of the whole stream: the yield order, and
-the shells built before each yield, are those of a single band up to
+the builds made before each yield, are those of a single band up to
 ``max_length``.  A consumer that stops after an edge of length L has had
 only the edges up to max(H_0, 2 L) buffered and sorted.
 
-Shells, boxes and the release bound are those of a *reduced cell* when
+Builds, boxes and the release bound are those of a *reduced cell* when
 it is better shaped.  :func:`~bridgelen.geometry.reduce_basis` gives a
 unimodular U and its exact integer inverse, and the cell B' = U B (built
 exactly by :func:`~bridgelen.geometry.change_basis`, its metrics computed
 in one stacked pass with the input cell's) is used when its aspect is
 strictly smaller than the input cell's; otherwise U = I, w = 0 and
 everything here is the input cell's.  In B' the motif is re-wrapped as
-f' = f U^-1 - w, w the integer floor, and the heights, the spreads, the
-pair boxes, the shells and the release bound are built from f' and B'.
+f' = f U^-1 - w, w the integer floor, and the heights, the extents, the
+spreads, the pair boxes and the release bound are built from f' and B'.
 Every block's rows are mapped back, t = (t' + w_src - w_dst) U, before
 anything reads them: the length is the input cell's expression on the
 input Cartesian motif and basis, and the self-class test and the yield
 key use the input t.  So every length, every key and the order are the
-input cell's, bit for bit; only the shells built differ.  The horizon
+input cell's, bit for bit; only the builds made differ.  The horizon
 r_upper, the working horizon and the box margin stay the input cell's
-(see ``_set_boxes``).  A stream read up to the bridge length builds at
-most ceil(reduced aspect) + 1 shells: the release bound after sigma
-shells is at least (sigma - 1) h'_min, up to the margin, and the bridge
-length is at most the reduced cell's r_upper as well.
+(see ``_set_boxes``).  A stream read up to the bridge length beta makes
+at most ceil(beta / h'_max) + 1 builds, h'_max the largest height of the
+cell whose builds are made (see ``shells_enumerated``).  It counts at
+most ceil(reduced aspect) + 1 shells as well: every e_k(L) >= L, so the
+release bound after build L exceeds L h'_min, up to the margin, and the
+bridge length is at most the reduced cell's r_upper.
 
 A generator is single-owner mutable state; distinct generators are
 independent.
@@ -117,9 +124,9 @@ from .errors import DegenerateCell
 from .geometry import PeriodicSet, cell_metrics, change_basis, reduce_basis, row_norms
 from .geometry import stacked_cell_metrics
 
-#: Most (translation, pair) rows one block of a shell builds (a block holds
+#: Most (translation, pair) rows one block of a build holds (a block holds
 #: at least one translation).  Working memory is bounded per block, not
-#: per shell: shell 3 in 8-D alone has 5.4 million translations.
+#: per build: shell 3 in 8-D alone has 5.4 million translations.
 _BLOCK = 1 << 12
 
 #: Relative widening of the translation boxes and narrowing of the release
@@ -127,9 +134,9 @@ _BLOCK = 1 << 12
 #: heights and the length expression (see ``EdgeGenerator._set_boxes``).
 _BOX_SLACK = 1e-9
 
-#: Box half-widths are capped at this many cells, so that an unbounded
-#: horizon still gives finite int32 bounds; no stream builds that many
-#: shells.
+#: Box half-widths and build extents are capped at this many cells, so
+#: that an unbounded horizon or an extreme height ratio still gives finite
+#: int32 bounds; no stream reads that far.
 _BOX_CAP = float(1 << 30)
 
 #: The working horizon starts at this multiple of (vol / m)^(1/n), the edge
@@ -168,31 +175,36 @@ def _decode(index, radix, offset) -> np.ndarray:
     return digits + offset
 
 
-def _shell_blocks(lo: np.ndarray, up: np.ndarray, first: int, last: int, block: int):
-    """The integer vectors of shells ``first`` to ``last`` (L-infinity
-    norm in [first, last]) inside boxes ``lo[:, b] <= t <= up[:, b]``
-    (int32 columns of shape (n, boxes)), in blocks.
+def _shell_blocks(lo: np.ndarray, up: np.ndarray, inner, outer: np.ndarray, block: int):
+    """The integer vectors of the box |t_k| <= ``outer[k]`` that lie
+    outside the box |t_k| <= ``inner[k]`` (None for no inner box), inside
+    boxes ``lo[:, b] <= t <= up[:, b]`` (int32 columns of shape (n,
+    boxes)), in blocks.  ``inner`` and ``outer`` are int32 extents of
+    shape (n,).
 
     Yields ``(t, box)``: ``t`` is an int32 block of 1 to ``block``
     translations, and ``box`` names the box of each row.
 
-    A box clipped to the cube [-last, last]^n is a product of ranges, so
-    a mixed-radix range.  A box takes part iff that clip is non-empty and
-    its far corner, the point of largest norm, has norm >= ``first``; no
-    other bound on the box is needed.  A range of one translation is its
-    offset, with no decode.  The other ranges are decoded together, each
-    row with its own box's radices, so many small boxes make one block.
-    For first > 0 the decoded rows of norm below ``first`` are dropped
-    before any length is computed, so a block can hold fewer than
-    ``block`` rows.  Every vector of a box comes once, and no
-    (2 last + 1)^n grid is built.
+    A box clipped to ``outer`` is a product of ranges, so a mixed-radix
+    range.  A box takes part iff that clip is non-empty and its far
+    corner, the point of largest |t_k| on every axis, lies outside
+    ``inner`` on some axis; no other bound on the box is needed.  A range
+    of one translation is its offset, with no decode.  The other ranges
+    are decoded together, each row with its own box's radices, so many
+    small boxes make one block.  The decoded rows inside ``inner`` are
+    dropped before any length is computed, so a block can hold fewer than
+    ``block`` rows.  Every vector of a box comes once, and no grid of the
+    whole ``outer`` box is built.  L-infinity shells ``first`` to ``last``
+    are the case of equal extents on every axis: ``first - 1`` and
+    ``last``.
     """
-    # (axis, box) arrays: each box clipped to the cube
-    offset = np.maximum(lo, -last)
-    top = np.minimum(up, last)
+    # (axis, box) arrays: each box clipped to the outer box
+    outer = outer[:, None]
+    offset = np.maximum(lo, -outer)
+    top = np.minimum(up, outer)
     meets = (offset <= top).all(axis=0)
-    if first > 0:  # a non-empty clip always reaches shell 0
-        meets &= np.maximum(-offset, top).max(axis=0) >= first
+    if inner is not None:
+        meets &= (np.maximum(-offset, top) > inner[:, None]).any(axis=0)
     (box,) = np.nonzero(meets)
     # (box, axis) arrays of the boxes that meet the build
     offset = offset.take(box, 1).T
@@ -213,8 +225,8 @@ def _shell_blocks(lo: np.ndarray, up: np.ndarray, first: int, last: int, block: 
         index = np.arange(start, min(start + block, int(end[-1])))
         q = np.searchsorted(end, index, side="right")
         t = _decode(index - first_index[q], rad.take(q, 0), off.take(q, 0))
-        if first > 0:
-            keep = np.abs(t).max(axis=1) >= first
+        if inner is not None:
+            keep = (np.abs(t) > inner).any(axis=1)
             t, q = t[keep], q[keep]
             if len(t) == 0:
                 continue
@@ -249,7 +261,7 @@ def _cells(pset: PeriodicSet):
     if np.count_nonzero(u) == n:  # a signed permutation: the same cell
         return cell_metrics(pset.basis), None
     try:
-        cells = np.stack([pset.basis.vectors, change_basis(pset.basis, u).vectors])
+        cells = np.stack([pset.basis.vectors, change_basis(pset.basis, u)])
         metrics, reduced = stacked_cell_metrics(cells)
     except DegenerateCell:
         return cell_metrics(pset.basis), None
@@ -298,7 +310,7 @@ class EdgeGenerator:
         never yielded, and the stream raises StopIteration once no shorter
         edge can remain.  Defaults to the cell bound r_upper * (1 + 1e-9),
         which every bridge length lies below; pass ``math.inf`` for an
-        unbounded stream.  The working horizon up to which shells are
+        unbounded stream.  The working horizon up to which builds are
         buffered grows towards it on demand; NaN or a negative value
         raises ValueError.
     """
@@ -309,13 +321,15 @@ class EdgeGenerator:
         self._basis = pset.basis.vectors
         cart = pset.cartesian_motif
         self.metrics, reduced = _cells(pset)
-        # the cell whose shells are built: the input's, or a reduced one
+        # the cell whose builds are made: the input's, or a reduced one
         self._cell, self._unimodular = self.metrics, None
         frac = pset.motif.points
         if reduced is not None:
             self._cell, u, frac, self._wrap = reduced
             self._unimodular = u.astype(float)
         self._heights = np.array(self._cell.heights)
+        # build L reaches floor(L h_max / h_k) cells on axis k
+        self._ratio = self._heights.max() / self._heights
         # the motif's extent on each axis of that cell
         self._spread = np.ptp(frac, axis=0)
         if max_length is None:
@@ -338,6 +352,7 @@ class EdgeGenerator:
         self._pair_dst = np.repeat(np.minimum(point + 1, m) - start, partners)
         self._pair_dst += np.arange(len(self._pair_dst), dtype=np.int32)
         self._self_pair = len(self._pair_dst) - 1
+        self._points = point[:m]
         zero = np.zeros((1, self._n))
         # (m + 1, n) motif, and its fractional axes as contiguous columns;
         # a block's rows are gathered by pair index, no pair copy is kept
@@ -354,29 +369,49 @@ class EdgeGenerator:
         self._released = 0
         # converted edges not yet yielded, the next one last
         self._ready: list[CandidateEdge] = []
-        self._next_shell = 0
+        # builds made, and the extents of the last one
+        self._builds = 0
+        self._extent = None
         self._bound = -math.inf
 
     @property
     def shells_enumerated(self) -> int:
-        """Number of shells enumerated so far (indices 0, 1, ...): 2 after
-        the first build, the cube, then one more per shell built; a
-        rescan builds no new shell."""
-        return self._next_shell
+        """Builds made so far plus one, or 0 before the first: 2 after
+        the first build, which holds the cube [-1, 1]^n (shells 0 and 1),
+        then one more per build; a rescan is no new build.  In a cell of
+        equal heights build L is L-infinity shell L, so this counts the
+        shells 0 to L.  A stream read up to an edge of length L_e makes
+        at most ceil(L_e / h'_max) + 1 builds, up to the margin (see
+        ``_release_bound``)."""
+        return self._builds + 1 if self._builds else 0
 
     @property
     def pending(self) -> tuple[CandidateEdge, ...]:
         """Buffered candidates not yet yielded, in yield order (copy;
-        inspection only): those of the shells built so far up to the
+        inspection only): those of the builds made so far up to the
         working horizon, not up to ``max_length``.  The converted edges
         of the current chunk come first."""
         return (*reversed(self._ready), *self._convert(len(self._length)))
 
-    def _release_bound(self, sigma: int) -> float:
-        """The height-projected bound on shells sigma and beyond, lowered
-        by the margin of ``_set_boxes``: no computed length there falls
-        below it."""
-        bound = float(np.min((sigma - self._spread) * self._heights))
+    def _extents(self, build: int) -> np.ndarray:
+        """The box of build ``build``, |t_k| <= e_k = floor(build h_max /
+        h_k), capped at ``_BOX_CAP``, as int32 extents (the cast truncates
+        the nonnegative products)."""
+        return np.minimum(build * self._ratio, _BOX_CAP).astype(np.int32)
+
+    def _release_bound(self, extent: np.ndarray) -> float:
+        """The height-projected bound on every translation outside the box
+        |t_k| <= ``extent[k]``, min_k (e_k + 1 - spread_k) h_k, lowered by
+        the margin of ``_set_boxes``: no computed length there falls below
+        it.
+
+        Since e_k + 1 > L h_max / h_k after build L (up to the rounding
+        of the ratio), and spread_k h_k < h_k <= h_max, the bound before
+        the margin exceeds (L - 1) h_max.  A build is made only when the
+        next edge read, of length L_e, is not yet released, so the bound
+        after the build before it was at most L_e: build L is made only
+        if (L - 2) h_max < L_e plus the margin."""
+        bound = float(np.min((extent + 1 - self._spread) * self._heights))
         return bound * (1.0 - _BOX_SLACK) - _BOX_SLACK * self._n * self.metrics.b
 
     def __iter__(self):
@@ -390,18 +425,18 @@ class EdgeGenerator:
                 self._ready = self._convert(end)[::-1]
                 self._cursor = end
             elif self._bound <= self._horizon:
-                # the next shell, or first the cube, shells 0 and 1
-                first = self._next_shell
-                last = max(first, 1)
-                self._merge(self._collect(first, last, -math.inf, self._horizon))
-                self._next_shell = last + 1
-                self._bound = self._release_bound(self._next_shell)
+                # the next build: its box less the last one's
+                inner = self._extent
+                self._builds += 1
+                self._extent = self._extents(self._builds)
+                self._merge(self._collect(inner, self._extent, -math.inf, self._horizon))
+                self._bound = self._release_bound(self._extent)
                 self._released = int(np.searchsorted(self._length, self._bound))
             elif self._horizon < self.max_length:
                 # the buffer is empty: every edge up to the horizon is out
                 lo = self._horizon
                 self._horizon = min(lo * _GROWTH_FACTOR, self.max_length)
-                self._merge(self._collect(0, self._next_shell - 1, lo, self._horizon))
+                self._merge(self._collect(None, self._extent, lo, self._horizon))
                 self._released = int(np.searchsorted(self._length, self._bound))
             else:
                 raise StopIteration
@@ -426,15 +461,15 @@ class EdgeGenerator:
         """Give every pair, the self class (the last pair, Delta = 0)
         included, the box of translations that can bring it within ``hi``,
         and drop the pairs whose box is empty.  The live boxes are kept as
-        (n, live) int32 columns ``lo`` and ``up``, with no shell bounds:
-        :func:`_shell_blocks` clips each one to a build's cube, and the clip
+        (n, live) int32 columns ``lo`` and ``up``, with no build bounds:
+        :func:`_shell_blocks` clips each one to a build's box, and the clip
         decides whether it meets the build.
 
         The edge x = (f_j - f_i + t) B of pair (i, j) has |x| >= |f_jk -
         f_ik + t_k| h_k on every axis k, h_k being the cell height over
         facet k, so a class no longer than hi has t_k in [-r_k - Delta_k,
         r_k - Delta_k] with Delta = f_j - f_i and r_k = hi / h_k.  All of
-        this is in the cell whose shells are built, the reduced one if
+        this is in the cell whose builds are made, the reduced one if
         any.
 
         One margin, _BOX_SLACK relative plus _BOX_SLACK n b, b the longest
@@ -451,10 +486,11 @@ class EdgeGenerator:
         has length 1 / h_k; so that rounding, times h_k, is below
         2 (n + 1) n eps b, far inside the n b term.  Here r_k is hi
         widened by the margin, over h_k.  The release bound is the
-        computed min_k (sigma - spread_k) h_k narrowed by it: an edge into
-        shell sigma has |t_k| >= sigma on some axis k, where |Delta_k| <=
-        spread_k, so |x| >= (sigma - spread_k) h_k, and no computed length
-        there falls below the narrowed bound.
+        computed min_k (e_k + 1 - spread_k) h_k narrowed by it, e being the
+        last build's extents: an unbuilt translation has |t_k| >= e_k + 1
+        on some axis k, where |Delta_k| <= spread_k, so |x| >= (e_k + 1 -
+        spread_k) h_k, and no computed length there falls below the
+        narrowed bound.
         """
         reach = hi * (1.0 + _BOX_SLACK) + _BOX_SLACK * self._n * self.metrics.b
         # python floats: an infinite or huge horizon gives no warning
@@ -478,14 +514,15 @@ class EdgeGenerator:
         self._box_up = up.take(self._live, 1)
         self._box_horizon = hi
 
-    def _collect(self, first: int, last: int, lo: float, hi: float):
-        """The classes of shells ``first`` to ``last`` (see
-        :func:`_shell_blocks`) with lo < length <= hi, unordered, as blocks
-        of (length, source, dest, translation) arrays.  Lengths are
-        computed only for the translations in each pair's box."""
+    def _collect(self, inner, outer: np.ndarray, lo: float, hi: float):
+        """The classes whose translation lies in the box of extents
+        ``outer`` and outside that of ``inner`` (see :func:`_shell_blocks`)
+        with lo < length <= hi, unordered, as blocks of (length, source,
+        dest, translation) arrays.  Lengths are computed only for the
+        translations in each pair's box."""
         if hi != self._box_horizon:
             self._set_boxes(hi)
-        for t, box in _shell_blocks(self._box_lo, self._box_up, first, last, _BLOCK):
+        for t, box in _shell_blocks(self._box_lo, self._box_up, inner, outer, _BLOCK):
             pair = self._live[box]
             if self._unimodular is not None:
                 t = self._input_translations(t, pair)
@@ -522,7 +559,11 @@ class EdgeGenerator:
         """Self-class rows: each translation t, from every motif point to
         its own image."""
         m = self._m
-        points = np.tile(np.arange(m, dtype=np.int32), len(t))
+        # filled row by row: np.tile costs more for small m, and an
+        # integer % over the rows more for large m
+        points = np.empty((len(t), m), dtype=np.int32)
+        points[:] = self._points
+        points = points.reshape(-1)
         return np.repeat(length, m), points, points, np.repeat(t, m, axis=0)
 
     def _merge(self, parts) -> None:

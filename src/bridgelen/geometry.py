@@ -538,9 +538,11 @@ def reduce_basis(vectors) -> tuple[np.ndarray, np.ndarray]:
     return np.array(u, dtype=np.int64), np.array(list(zip(*inverse)), dtype=np.int64)
 
 
-def change_basis(basis: LatticeBasis, u) -> LatticeBasis:
-    """The basis with rows ``u @ basis.vectors``, ``u`` an integer
-    unimodular matrix: another basis of the same lattice.
+def change_basis(basis: LatticeBasis, u) -> np.ndarray:
+    """The rows ``u @ basis.vectors``, ``u`` an integer unimodular matrix:
+    another basis of the same lattice, as an (n, n) float array.  It is
+    not validated: the caller computes its metrics, which refuse a cell
+    outside the floating-point range.
 
     Each entry is the exact sum, over a common power-of-two denominator of
     the input entries in Python integers, rounded once.  A plain float
@@ -553,6 +555,6 @@ def change_basis(basis: LatticeBasis, u) -> LatticeBasis:
     den = max(d for col in ratios for _, d in col)
     cols = [[a * (den // d) for a, d in col] for col in ratios]
     rows = np.asarray(u).tolist()
-    return LatticeBasis(
+    return np.array(
         [[sum(x * y for x, y in zip(row, col)) / den for col in cols] for row in rows]
     )

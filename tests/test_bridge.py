@@ -25,7 +25,7 @@ from bridgelen import (
 from bridgelen import edges as edges_module
 from bridgelen.geometry import change_basis, reduce_basis
 
-from conftest import make_set, random_set, random_unimodular, sheared_bcc
+from conftest import make_set, random_set, random_unimodular, sheared_bcc, slab_19
 
 
 def identity(vectors):
@@ -174,6 +174,30 @@ class TestBoundsAndInvariances:
                     c * beta, rel=1e-12
                 )
 
+    def test_power_of_two_scale_is_exact(self):
+        # Scaling by 2^k scales every basis entry, Cartesian point, height
+        # and margin exactly, and leaves every ratio h_max / h_k and so
+        # every build's extents as they are: beta is ldexp(beta, k) bit
+        # for bit, and the last edge's key, the shells and the edges
+        # examined do not move
+        rng = np.random.default_rng(59)
+        psets = [
+            random_set(rng, n=int(rng.integers(1, 5)), m=int(rng.integers(1, 7)))
+            for _ in range(200)
+        ]
+        psets += [sheared_bcc(reach) for reach in (10, 150, 1000)] + [slab_19()]
+        for pset in psets:
+            report = bridge_length(pset)
+            edge = report.last_edge
+            for k in (-30, -1, 1, 7, 40):
+                scaled = bridge_length(pset.scale(2.0**k))
+                assert scaled.beta.hex() == math.ldexp(report.beta, k).hex()
+                last = scaled.last_edge
+                assert last.length.hex() == math.ldexp(edge.length, k).hex()
+                assert last[1:] == edge[1:]
+                assert scaled.shells_enumerated == report.shells_enumerated
+                assert scaled.edges_examined == report.edges_examined
+
     def test_half_scale_a7(self, monkeypatch):
         # Halving a basis is exact, so beta halves exactly, and the shell
         # count must not move.  In the input cell the smallest height is
@@ -282,7 +306,9 @@ class TestChangeOfBasis:
         moved = make_set(u @ basis, points @ u_inv)
         report = bridge_length(moved)
         assert report.beta == pytest.approx(bridge_length(same).beta, rel=1e-12)
-        reduced = change_basis(moved.basis, reduce_basis(moved.basis.vectors)[0])
+        reduced = LatticeBasis(
+            change_basis(moved.basis, reduce_basis(moved.basis.vectors)[0])
+        )
         assert report.shells_enumerated <= math.ceil(cell_metrics(reduced).aspect) + 1
 
 

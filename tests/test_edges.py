@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelen import (
     DegenerateCell,
@@ -212,8 +214,8 @@ class TestAgainstBruteForce:
 
 
 def build_cases():
-    """(n, first, last): the builds the stream makes, the cube (0, 1),
-    shell s >= 2 alone, and the rescans (0, k)."""
+    """(n, first, last): the builds the stream makes in a cell of equal
+    heights, the cube (0, 1), shell s >= 2 alone, and the rescans (0, k)."""
     cases = [(n, 0, 1) for n in range(1, 9)] + [(n, 2, 2) for n in range(1, 9)]
     cases += [(n, 3, 3) for n in range(1, 6)] + [(n, 4, 4) for n in range(1, 5)]
     return cases + [(n, 0, 2) for n in range(1, 6)] + [(n, 0, 3) for n in range(1, 4)]
@@ -224,6 +226,14 @@ def build_vectors(n, first, last):
     L-infinity norm in [first, last]."""
     cube = itertools.product(range(-last, last + 1), repeat=n)
     return [v for v in cube if max(map(abs, v)) >= first]
+
+
+def shell_extents(n, first, last):
+    """``_shell_blocks``'s (inner, outer) extents for the L-infinity
+    shells ``first`` to ``last`` in n dimensions: the cube of shell
+    ``last`` less, for first > 0, the cube of shell ``first - 1``."""
+    inner = None if first == 0 else np.full(n, first - 1, dtype=np.int32)
+    return inner, np.full(n, last, dtype=np.int32)
 
 
 def unbounded_box(n):
@@ -239,7 +249,8 @@ class TestShellFaces:
     @pytest.mark.parametrize("n, first, last", build_cases())
     def test_each_vector_of_the_build_once(self, n, first, last):
         box = unbounded_box(n)
-        blocks = list(edges_module._shell_blocks(*box, first, last, edges_module._BLOCK))
+        extents = shell_extents(n, first, last)
+        blocks = list(edges_module._shell_blocks(*box, *extents, edges_module._BLOCK))
         assert all((b == 0).all() and len(b) == len(t) for t, b in blocks)
         assert all(1 <= len(t) <= edges_module._BLOCK for t, _ in blocks)
         faces = np.concatenate([t for t, _ in blocks])
@@ -257,8 +268,9 @@ class TestShellFaces:
     )
     def test_blocks_split_the_same_sequence(self, n, first, last):
         box = unbounded_box(n)
-        whole = [t for t, _ in edges_module._shell_blocks(*box, first, last, 10**6)]
-        blocks = [t for t, _ in edges_module._shell_blocks(*box, first, last, 7)]
+        extents = shell_extents(n, first, last)
+        whole = [t for t, _ in edges_module._shell_blocks(*box, *extents, 10**6)]
+        blocks = [t for t, _ in edges_module._shell_blocks(*box, *extents, 7)]
         assert all(1 <= len(b) <= 7 for b in blocks)
         assert np.array_equal(np.concatenate(blocks), np.concatenate(whole))
 
@@ -280,8 +292,8 @@ class TestShellFaces:
             assert (take(gen, 150), gen.pending) == want
 
 
-#: The (first, last) ranges the stream builds: the cube, shells 2 and 3
-#: alone, and rescans of the shells up to 2 and 3.
+#: The (first, last) ranges the stream builds in a cell of equal heights:
+#: the cube, shells 2 and 3 alone, and rescans of the shells up to 2 and 3.
 STREAM_RANGES = [(0, 1), (2, 2), (3, 3), (0, 2), (0, 3)]
 
 
@@ -305,7 +317,8 @@ class TestShellBlocksInBoxes:
             lo = np.concatenate([wide, narrow])[mix].T.astype(np.int32)
             up = np.concatenate([wide_up, narrow_up])[mix].T.astype(np.int32)
             got = []
-            for t, box in edges_module._shell_blocks(lo, up, first, last, block):
+            extents = shell_extents(n, first, last)
+            for t, box in edges_module._shell_blocks(lo, up, *extents, block):
                 assert t.dtype == np.int32 and box.shape == (len(t),)
                 assert 1 <= len(t) <= block
                 got += zip(box.tolist(), map(tuple, t.tolist()))
@@ -333,7 +346,9 @@ class TestShellBlocksInBoxes:
         for block in (1, 2, 4096):
             got = [
                 (int(b), tuple(v))
-                for t, box in edges_module._shell_blocks(lo, up, first, last, block)
+                for t, box in edges_module._shell_blocks(
+                    lo, up, *shell_extents(3, first, last), block
+                )
                 for b, v in zip(box, t.tolist())
             ]
             expected = [(0, (0, 0, 0)), (1, (-1, 1, 0)), (3, (-last, 0, 0))]
@@ -342,30 +357,40 @@ class TestShellBlocksInBoxes:
     @pytest.mark.parametrize("first, last", STREAM_RANGES)
     def test_no_boxes(self, first, last):
         none = np.empty((3, 0), dtype=np.int32)
-        assert list(edges_module._shell_blocks(none, none, first, last, 4096)) == []
+        extents = shell_extents(3, first, last)
+        assert list(edges_module._shell_blocks(none, none, *extents, 4096)) == []
 
 
-def near_far_blocks(lo, up, first, last, block):
-    """The blocks of shells ``first`` to ``last`` in boxes ``lo[b] <= t <=
-    up[b]`` (rows), in plain Python, by each box's shell bounds: the boxes
-    with near <= last and far >= first, near and far being the L-infinity
-    norms of the box's nearest and farthest points; each clipped to
-    [-last, last]^n; the clips of one translation (of norm >= ``first``)
+def near_far_blocks(lo, up, inner, outer, block):
+    """The blocks of the box |t_k| <= outer[k] less the box |t_k| <=
+    inner[k] (no inner box for None), in boxes ``lo[b] <= t <= up[b]``
+    (rows), in plain Python, by each box's near and far bounds on every
+    axis, near_k and far_k being the least and greatest |t_k| over the box
+    (near_k is negative, so below any extent, when the box spans 0): the
+    boxes with near_k <= outer[k] on every axis and far_k > inner[k] on
+    some axis; each clipped to the outer box; the clips of one translation
     first, ``block`` boxes at a time; then the other clips in mixed-radix
-    order, ``block`` indices at a time, less the rows of norm below
-    ``first``, with no empty block.  Returns (rows, boxes) lists."""
-    near = np.maximum(lo, -up).max(axis=1)
-    far = np.maximum(-lo, up).max(axis=1)
-    hit = np.nonzero((near <= last) & (far >= first))[0].tolist()
+    order, ``block`` indices at a time, less the rows inside the inner
+    box, with no empty block.  ``outer`` exceeds ``inner`` on every axis,
+    as in every build.  Returns (rows, boxes) lists."""
+    n = lo.shape[1]
+    inner = [-1] * n if inner is None else list(inner)
+    outer = list(outer)
+
+    def outside(v):
+        return any(abs(x) > e for x, e in zip(v, inner))
+
+    near = np.maximum(lo, -up)
+    far = np.maximum(-lo, up)
+    hit = np.nonzero((near <= outer).all(axis=1) & (far > inner).any(axis=1))[0].tolist()
     clip = {
-        b: [range(max(a, -last), min(z, last) + 1) for a, z in zip(lo[b], up[b])]
+        b: [range(max(a, -e), min(z, e) + 1) for a, z, e in zip(lo[b], up[b], outer)]
         for b in hit
     }
     ones = [
         b
         for b in hit
-        if math.prod(map(len, clip[b])) == 1
-        and max(abs(r[0]) for r in clip[b]) >= first
+        if math.prod(map(len, clip[b])) == 1 and outside([r[0] for r in clip[b]])
     ]
     blocks = []
     for start in range(0, len(ones), block):
@@ -379,30 +404,49 @@ def near_far_blocks(lo, up, first, last, block):
     ]
     for start in range(0, len(rows), block):
         part = rows[start : start + block]
-        kept = [(v, b) for v, b in part if max(map(abs, v)) >= first]
+        kept = [(v, b) for v, b in part if outside(v)]
         if kept:
             blocks.append(([v for v, _ in kept], [b for _, b in kept]))
     return blocks
 
 
-#: Every (first, last) range the stream builds: the cube, shell s alone,
-#: and rescans of the shells up to k.
+#: Every (first, last) range of L-infinity shells the stream builds in a
+#: cell of equal heights: the cube, shell s alone, and rescans of the
+#: shells up to k.
 BUILD_RANGES = [(0, 1), (2, 2), (3, 3), (4, 4), (0, 2), (0, 3), (0, 4)]
 
 
-def column_blocks(lo, up, first, last, block):
+def column_blocks(lo, up, inner, outer, block):
     """``_shell_blocks`` on the columns of ``lo`` and ``up`` (rows), as
     (rows, boxes) lists."""
     columns = (np.ascontiguousarray(a.T) for a in (lo, up))
     return [
         (t.tolist(), box.tolist())
-        for t, box in edges_module._shell_blocks(*columns, first, last, block)
+        for t, box in edges_module._shell_blocks(*columns, inner, outer, block)
     ]
+
+
+def thin_set(rng: np.random.Generator, n: int, m: int, ratio: float) -> PeriodicSet:
+    """A random cell whose rows are scaled by factors from 1 to ``ratio``
+    (a slab when one row is short, a needle when one is long, or a mix),
+    with ``m`` random points: its heights scale by the same factors, so
+    their ratios reach about ``ratio`` times those of the random cell."""
+    kind = int(rng.integers(3))
+    if kind == 0:  # slab: one short row
+        scale = np.full(n, ratio)
+        scale[rng.integers(n)] = 1.0
+    elif kind == 1:  # needle: one long row
+        scale = np.ones(n)
+        scale[rng.integers(n)] = ratio
+    else:
+        scale = np.exp(rng.uniform(0.0, math.log(ratio), size=n))
+    basis = random_basis(rng, n).vectors * scale[:, None]
+    return PeriodicSet(LatticeBasis(basis), random_motif(rng, n, m))
 
 
 class TestClipDecidesTheBoxes:
     """The clip alone gives the rows, their order and the block boundaries
-    that the near and far shell bounds of each box give."""
+    that the near and far bounds of each box give."""
 
     @pytest.mark.parametrize("first, last", BUILD_RANGES)
     @pytest.mark.parametrize("block", [1, 3, 64, 4096])
@@ -416,9 +460,29 @@ class TestClipDecidesTheBoxes:
             lo = rng.integers(-last - 2, last + 2, size=(k, n))
             up = lo + rng.integers(0, [1, 2, 6][int(rng.integers(3))], size=(k, n))
             lo, up = lo.astype(np.int32), up.astype(np.int32)
-            assert column_blocks(lo, up, first, last, block) == near_far_blocks(
-                lo, up, first, last, block
+            extents = shell_extents(n, first, last)
+            assert column_blocks(lo, up, *extents, block) == near_far_blocks(
+                lo, up, *extents, block
             )
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 4096])
+    def test_random_boxes_per_axis(self, block):
+        # extents that differ by axis, as in a slab or a needle: an inner
+        # box of 0 to 4 cells a side or none, and an outer one 1 to 4 cells
+        # beyond it on each axis; boxes inside, across and beyond both
+        rng = np.random.default_rng(1100 + block)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            inner = rng.integers(0, 5, size=n).astype(np.int32)
+            outer = (inner + rng.integers(1, 5, size=n)).astype(np.int32)
+            if rng.random() < 0.3:
+                inner = None
+            k = int(rng.integers(0, 9))
+            lo = rng.integers(-outer - 2, outer + 2, size=(k, n))
+            up = lo + rng.integers(0, [1, 2, 6, 12][int(rng.integers(4))], size=(k, n))
+            lo, up = lo.astype(np.int32), up.astype(np.int32)
+            got = column_blocks(lo, up, inner, outer, block)
+            assert got == near_far_blocks(lo, up, inner, outer, block)
 
     def test_stream_boxes(self):
         # the boxes the stream keeps for two horizons, in the input cell
@@ -439,9 +503,31 @@ class TestClipDecidesTheBoxes:
                 gen._set_boxes(hi)
                 lo, up = gen._box_lo.T, gen._box_up.T
                 for first, last in BUILD_RANGES:
+                    extents = shell_extents(pset.dim, first, last)
                     for block in (7, 4096):
-                        got = column_blocks(lo, up, first, last, block)
-                        assert got == near_far_blocks(lo, up, first, last, block)
+                        got = column_blocks(lo, up, *extents, block)
+                        assert got == near_far_blocks(lo, up, *extents, block)
+
+    def test_stream_boxes_in_the_stream_builds(self):
+        # the boxes of slabs and needles for two horizons, in the extents
+        # of their first three builds and of a rescan of them
+        rng = np.random.default_rng(1002)
+        scaled = 0
+        for _ in range(12):
+            n = int(rng.integers(2, 4))
+            pset = thin_set(rng, n, int(rng.integers(1, 7)), ratio=12.0)
+            gen = EdgeGenerator(pset)
+            builds = [None] + [gen._extents(build) for build in (1, 2, 3)]
+            scaled += len(set(builds[1].tolist())) > 1
+            for hi in (gen.metrics.h, 0.5 * gen.max_length):
+                gen._set_boxes(hi)
+                lo, up = gen._box_lo.T, gen._box_up.T
+                regions = [*zip(builds, builds[1:]), (None, builds[-1])]
+                for inner, outer in regions:
+                    for block in (7, 4096):
+                        got = column_blocks(lo, up, inner, outer, block)
+                        assert got == near_far_blocks(lo, up, inner, outer, block)
+        assert scaled >= 8
 
 
 class TestCapsAndHorizons:
@@ -610,24 +696,26 @@ class TestWorkingHorizon:
         assert len(got) == len(brute_force_upto(pset, 2.0))
 
     def test_a_growth_is_one_build(self, monkeypatch):
-        # each growth rescans the sigma shells built so far in one call,
-        # _collect(0, sigma - 1, H_old, H_new); slab_19 with a start of
-        # a quarter of the default grows with 2, 3, 4 and 6 shells built
+        # each growth rescans the box of the last build in one call,
+        # _collect(None, e(L), H_old, H_new).  slab_19 with a start of a
+        # quarter of the default grows four times after its first build,
+        # whose box, scaled by the reduced cell's heights, is (6, 1, 1)
+        # cells (2, 3, 4 and 6 shells built when every build was a cube)
         monkeypatch.setattr(edges_module, "_START_FACTOR", 0.5)
         gen = EdgeGenerator(slab_19())
         collect, calls = gen._collect, []
 
-        def recording(first, last, lo, hi):
-            calls.append((first, last, lo, hi, gen.shells_enumerated))
-            return collect(first, last, lo, hi)
+        def recording(inner, outer, lo, hi):
+            calls.append((inner, outer.tolist(), lo, hi, gen.shells_enumerated))
+            return collect(inner, outer, lo, hi)
 
         gen._collect = recording
         list(gen)
         growths = [call for call in calls if call[2] > -math.inf]
-        for first, last, lo, hi, sigma in growths:
-            assert (first, last) == (0, sigma - 1)
+        for inner, outer, lo, hi, sigma in growths:
+            assert inner is None and outer == gen._extents(sigma - 1).tolist()
             assert [call[2:4] for call in calls].count((lo, hi)) == 1
-        assert max(last for _, last, *_ in growths) >= 3
+        assert [(outer, sigma) for _, outer, _, _, sigma in growths] == [([6, 1, 1], 2)] * 4
 
     def test_tie_only_order_is_the_full_key_sort(self):
         # integer lengths make long runs of ties; repeated full keys must
@@ -643,34 +731,25 @@ class TestWorkingHorizon:
             assert np.array_equal(order, full)
 
 
-def old_build_faces(n: int, s: int, block: int = 4096):
-    """The face enumeration the pair-box kernel replaced, for build s: the
-    vectors of L-infinity norm exactly s, split by leading axis, in
-    blocks; the cube (s = 1) is the zero vector and then shell 1."""
-    if s == 1:
-        yield np.zeros((1, n), dtype=np.int32)
-    for k in range(n):
-        radix = [2 * s - 1] * k + [2] + [2 * s + 1] * (n - 1 - k)
-        scale = np.ones(n, dtype=np.int32)
-        scale[k] = 2 * s
-        offset = np.array([1 - s] * k + [-s] * (n - k), dtype=np.int32)
-        count = math.prod(radix)
-        for start in range(0, count, block):
-            index = np.arange(start, min(start + block, count))
-            digits = np.empty((len(index), n), dtype=np.int32)
-            for j in range(n - 1, -1, -1):
-                index, digits[:, j] = np.divmod(index, radix[j])
-            yield digits * scale + offset
+def region_vectors(inner, outer, block: int = 4096):
+    """The integer vectors with |t_k| <= outer[k] on every axis and, if
+    ``inner`` is not None, |t_k| > inner[k] on some axis: the whole outer
+    box by brute force, less the inner one, in blocks."""
+    grid = np.indices(tuple(2 * outer + 1)).reshape(len(outer), -1).T - outer
+    if inner is not None:
+        grid = grid[(np.abs(grid) > inner).any(axis=1)]
+    for start in range(0, len(grid), block):
+        yield grid[start : start + block]
 
 
-def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None) -> set:
-    """Oracle: the all-pairs shell kernel the pair boxes replaced.  Every
-    motif pair at every translation of build s (the cube for s = 1, else
-    shell s), with the same length expression, kept if lo < length <= hi;
-    a set of (length, source, dest, translation).  If ``gen`` builds its
-    shells in a reduced cell, build s is that cell's, and each pair's
-    translations t' are mapped to the input cell as (t' + w_src - w_dst)
-    U."""
+def all_pairs_collect(pset: PeriodicSet, inner, outer, lo, hi, gen=None) -> set:
+    """Oracle: the all-pairs kernel the pair boxes replaced.  Every motif
+    pair at every translation of the box ``outer`` less the box ``inner``
+    (see :func:`region_vectors`), with the same length expression, kept
+    if lo < length <= hi; a set of (length, source, dest, translation).
+    If ``gen`` builds in a reduced cell, the boxes are that cell's, and
+    each pair's translations t' are mapped to the input cell as (t' +
+    w_src - w_dst) U."""
     cart = pset.cartesian_motif
     m, n = pset.motif_size, pset.dim
     src, dst = np.triu_indices(m, k=1)
@@ -678,7 +757,7 @@ def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None)
     if gen is not None and gen._unimodular is not None:
         u, wrap = gen._unimodular.astype(np.int64), gen._wrap.astype(np.int64)
     out = set()
-    for faces in old_build_faces(n, s):
+    for faces in region_vectors(inner, outer):
         # (faces, pairs, n) input translations
         t = (faces[:, None, :] + wrap[src] - wrap[dst]) @ u
         shift = (t[:, :, None, :].astype(float) @ pset.basis.vectors)[:, :, 0, :]
@@ -686,7 +765,7 @@ def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None)
         for f, p in zip(*np.nonzero((pair_len > lo) & (pair_len <= hi))):
             t_key = tuple(t[f, p].tolist())
             out.add((float(pair_len[f, p]), int(src[p]), int(dst[p]), t_key))
-        # the zero vector is not lex-positive: no self class in shell 0
+        # the zero vector is not lex-positive: no self class at t = 0
         own = faces @ u
         own_shift = (own[:, None, :].astype(float) @ pset.basis.vectors)[:, 0]
         self_len = row_norms(own_shift)
@@ -699,25 +778,30 @@ def all_pairs_collect(pset: PeriodicSet, s: int, lo: float, hi: float, gen=None)
 
 def checked_stream(pset: PeriodicSet, k=None, **kwargs):
     """Run a stream, to its end or for ``k`` edges, comparing its every
-    ``_collect(first, last, lo, hi)`` with the union of the all-pairs
-    oracle over the builds it covers (the cube for first = 0, then shells
-    2 to last); return the bands (lo, hi] it collected."""
+    ``_collect(inner, outer, lo, hi)`` with the all-pairs oracle over the
+    same region: a build's box less the last build's, or for a rescan
+    the last build's whole box; return the bands (lo, hi) it collected."""
     gen = EdgeGenerator(pset, **kwargs)
     collect = gen._collect
     bands = set()
 
-    def checked(first, last, lo, hi):
-        assert first != 1 and first <= last
-        parts = list(collect(first, last, lo, hi))
+    def checked(inner, outer, lo, hi):
+        built = gen._extents(gen._builds)
+        assert np.array_equal(outer, built)
+        if lo == -math.inf:  # a build: its box less the one before
+            before = gen._extents(gen._builds - 1) if gen._builds > 1 else None
+            assert inner is None if before is None else np.array_equal(inner, before)
+        else:  # a rescan of every build so far
+            assert inner is None
+        parts = list(collect(inner, outer, lo, hi))
         got = [
             (length, source, dest, tuple(t))
             for part in parts
             for length, source, dest, t in zip(*(c.tolist() for c in part))
         ]
-        builds = range(max(first, 1), last + 1)
-        expected = set().union(*(all_pairs_collect(pset, s, lo, hi, gen) for s in builds))
+        expected = all_pairs_collect(pset, inner, outer, lo, hi, gen)
         assert len(set(got)) == len(got)
-        assert set(got) == expected, (first, last, lo, hi)
+        assert set(got) == expected, (inner, outer, lo, hi)
         bands.add((lo, hi))
         return parts
 
@@ -764,6 +848,15 @@ class TestPairBoxes:
         rng = np.random.default_rng(62)
         for _ in range(8):
             checked_stream(sheared_set(rng, max_aspect=20.0))
+
+    @pytest.mark.parametrize("start", [1e-3, 2.0])
+    def test_slabs_and_needles(self, monkeypatch, start):
+        # builds whose boxes reach many more cells on the thin axes
+        monkeypatch.setattr(edges_module, "_START_FACTOR", start)
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            checked_stream(thin_set(rng, n, int(rng.integers(1, 7)), ratio=15.0))
 
     def test_z2_edges_at_band_ends(self, monkeypatch, z2):
         monkeypatch.setattr(edges_module, "_START_FACTOR", 2.0**-10)
@@ -1038,3 +1131,101 @@ class TestReducedCell:
         with pytest.raises(DegenerateCell, match="outside the floating-point range") as got:
             EdgeGenerator(pset)
         assert str(got.value) == str(alone.value)
+
+
+def l_infinity_stream(pset: PeriodicSet, **kwargs) -> EdgeGenerator:
+    """Oracle: the stream with every ratio h_max / h_k forced to 1, so
+    build L is the L-infinity cube [-L, L]^n less the cube before it, the
+    shells built before the builds scaled with the heights."""
+    gen = EdgeGenerator(pset, **kwargs)
+    gen._ratio = np.ones(pset.dim)
+    return gen
+
+
+def build_count_bound(beta: float, heights) -> int:
+    """ceil(beta / h'_max) + 2, h'_max the largest height of the cell whose
+    builds are made.
+
+    Build L reaches e_k = floor(L h'_max / h'_k) cells on axis k, so an
+    unbuilt translation has |t_k| >= e_k + 1 > L h'_max / h'_k on some
+    axis, and its edge is longer than (e_k + 1 - spread_k) h'_k > L h'_max
+    - spread_k h'_k > (L - 1) h'_max: after build L the release bound
+    exceeds (L - 1) h'_max, less the rounding margin.  Build L + 1 is made
+    only when the next edge read, no longer than beta, is not released, so
+    (L - 1) h'_max < beta and L + 1 < beta / h'_max + 2, up to the margin:
+    at most ceil(beta / h'_max) + 1 builds, and shells_enumerated counts
+    one more.  (The margin, about 1e-9 relative, could add one only if
+    beta / h'_max fell within it of an integer while spread_k h'_k came
+    as close to h'_max.)"""
+    return math.ceil(beta / max(heights)) + 2
+
+
+class TestHeightScaledBuilds:
+    """Build L reaches floor(L h_max / h_k) cells on axis k: the stream is
+    the L-infinity shells' stream, edge for edge, in fewer builds."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.floats(1.0, 20.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stream_equals_the_l_infinity_stream(self, n, m, ratio, reduce, seed):
+        rng = np.random.default_rng(seed)
+        pset = thin_set(rng, n, m, ratio)
+        with pytest.MonkeyPatch.context() as patch:
+            if not reduce:
+                patch.setattr(edges_module, "reduce_basis", keep_input_cell)
+            report = bridge_length(pset)
+            gen, oracle = EdgeGenerator(pset), l_infinity_stream(pset)
+        # the edges the bridge length reads, and as many again
+        k = 2 * report.edges_examined
+        got = list(itertools.islice(gen, k))
+        assert got == list(itertools.islice(oracle, k))
+        assert gen.shells_enumerated <= oracle.shells_enumerated
+        bound = build_count_bound(report.beta, gen._cell.heights)
+        assert report.shells_enumerated <= bound
+
+    def test_oracle_builds_l_infinity_shells(self):
+        # the oracle's builds are the cubes [-L, L]^n, one shell each, and
+        # a thin cell's own builds reach further on its thin axes
+        pset = slab_19()
+        gen, oracle = EdgeGenerator(pset), l_infinity_stream(pset)
+        assert oracle._extents(3).tolist() == [3, 3, 3]
+        assert gen._extents(1).tolist() == [6, 1, 1]
+        assert gen._extents(3).tolist() == [18, 3, 3]
+        report = bridge_length(pset)
+        take(gen, report.edges_examined)
+        take(oracle, report.edges_examined)
+        assert (gen.shells_enumerated, oracle.shells_enumerated) == (2, 3)
+
+    def test_equal_heights_build_shells(self, bcc):
+        # a cell of equal heights has every ratio 1: build L is shell L
+        gen = EdgeGenerator(bcc)
+        assert gen._ratio.tolist() == [1.0, 1.0, 1.0]
+        assert gen._extents(4).tolist() == [4, 4, 4]
+
+    @pytest.mark.parametrize("workload", ["dense-motif", "many-cells", "cif-batch"])
+    def test_seed_101_builds_within_the_bound(self, monkeypatch, bench_corpus, workload):
+        # both counts: ceil(beta / h'_max) + 2, and criterion 8's
+        # ceil(aspect') + 1 in the cell whose builds are made
+        streams = []
+
+        class Recording(EdgeGenerator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+        monkeypatch.setattr(bridge_module, "EdgeGenerator", Recording)
+        for case in bench_corpus.make(workload, 101):
+            if workload == "cif-batch":
+                pset = to_periodic_set(parse_cif(case.text))
+            else:
+                pset = make_set(case.basis, case.frac)
+            report = bridge_length(pset)
+            cell = streams[-1]._cell
+            shells = report.shells_enumerated
+            assert shells <= build_count_bound(report.beta, cell.heights), case.name
+            assert shells <= math.ceil(cell.aspect) + 1, case.name
