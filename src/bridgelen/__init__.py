@@ -26,7 +26,6 @@ from .geometry import (
     Motif,
     PeriodicSet,
     cell_metrics,
-    facet_heights,
 )
 from .ingest import (
     CrystalDocument,
@@ -38,7 +37,7 @@ from .ingest import (
 )
 from .intlinalg import OnlineSnfState, SnfResult, in_span, snf, spans_lattice
 from .oracle import oracle_bridge_length
-from .quotient import EdgeOutcome, QuotientState
+from .quotient import QuotientState
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "CrystalDocument",
     "DegenerateCell",
     "EdgeGenerator",
-    "EdgeOutcome",
     "EmptyInput",
     "InvalidScale",
     "LatticeBasis",
@@ -65,7 +63,6 @@ __all__ = [
     "SymOpError",
     "bridge_length",
     "cell_metrics",
-    "facet_heights",
     "in_span",
     "mst_longest_edge",
     "oracle_bridge_length",

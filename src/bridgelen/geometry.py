@@ -295,18 +295,6 @@ class PeriodicSet:
         pos.setflags(write=False)
         return pos
 
-    def cartesian_position(self, motif_index: int, translation) -> np.ndarray:
-        """Cartesian position of motif point ``motif_index`` translated by an
-        integer lattice vector."""
-        if not 0 <= motif_index < self.motif_size:
-            raise IndexError(
-                f"motif index {motif_index} out of range [0, {self.motif_size})"
-            )
-        t = np.asarray(translation, dtype=float)
-        if t.shape != (self.dim,):
-            raise ValueError(f"translation must have {self.dim} entries")
-        return (self.motif.points[motif_index] + t) @ self.basis.vectors
-
     def scale(self, c: float) -> "PeriodicSet":
         """The set with all Cartesian distances multiplied by ``c > 0``."""
         if not (np.isfinite(c) and c > 0):
@@ -331,7 +319,8 @@ class CellMetrics:
     h        shortest cell height
     r_upper  max(b, d/2); upper bound on the bridge length
     aspect   r_upper / h; bounds the number of shells ever enumerated
-    heights  height of the cell over each facet (see facet_heights)
+    heights  height of the cell over each facet, vol / facet volume: the
+             spacing of the lattice planes parallel to that facet
     """
 
     b: float
@@ -378,17 +367,6 @@ def facet_volumes(vectors: np.ndarray) -> np.ndarray:
     rest = vectors[..., _facet_rows(n), :]
     gram = rest @ rest.swapaxes(-1, -2)
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-
-
-def facet_heights(basis: LatticeBasis) -> np.ndarray:
-    """Height of the cell over each facet: h_i = vol / facet_volume_i.
-
-    h_i is the spacing of the lattice hyperplane family normal to facet i,
-    i.e. the minimum Cartesian advance per unit step of fractional
-    coordinate i.  These are the ``heights`` of :func:`cell_metrics`, so a
-    cell outside the floating-point range raises DegenerateCell.
-    """
-    return np.array(cell_metrics(basis).heights)
 
 
 def cell_metrics(basis: LatticeBasis) -> CellMetrics:

@@ -254,24 +254,18 @@ def parse_cif(text) -> CrystalDocument:
     )
 
 
-def parse_symmetry_op(op: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse ``"x, y+1/2, -z"``-style text into (matrix, translation).
+@lru_cache(maxsize=_SYMOP_CACHE)
+def parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+    """Parse ``"x, y+1/2, -z"``-style text into (matrix, translation), as
+    immutable tuples: the integer matrix rows and the float translation.
 
     Grammar: three comma-separated components, each a signed sum of x/y/z
     terms and rational (p/q) or decimal constants.  The integer matrix must
     have determinant +1 or -1, computed exactly: a singular one such as
     ``"x, x, z"`` maps the cell onto a plane and puts points in no orbit.
-    The parse is cached per string; every call returns new arrays, and a
-    bad operation raises :class:`SymOpError` on every call.
+    The parse is cached per string; an exception is never cached, so a bad
+    operation raises :class:`SymOpError` on every call.
     """
-    mat, trans = _parse_symmetry_op(op)
-    return np.array(mat, dtype=float), np.array(trans)
-
-
-@lru_cache(maxsize=_SYMOP_CACHE)
-def _parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
-    """:func:`parse_symmetry_op` as immutable tuples (an exception is
-    never cached)."""
     parts = op.split(",")
     if len(parts) != 3:
         raise SymOpError(f"expected 3 comma-separated components in {op!r}")
@@ -388,7 +382,7 @@ def to_periodic_set(
     basis = basis_from_cell_parameters(doc.cell_lengths, doc.cell_angles)
     fracs = np.array([frac for _, frac in doc.sites], dtype=float)
     if expand_symmetry and doc.symmetry_ops:
-        mats, trans = zip(*map(_parse_symmetry_op, doc.symmetry_ops))
+        mats, trans = zip(*map(parse_symmetry_op, doc.symmetry_ops))
         mats, trans = np.array(mats, dtype=float), np.array(trans)
         # (sites, ops, 3) flattened: site-major, operation-minor
         images = wrap_fractional(np.einsum("ojk,sk->soj", mats, fracs) + trans)

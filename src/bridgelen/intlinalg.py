@@ -22,43 +22,8 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = len(b[0])
-    return [
-        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for row in a
-    ]
-
-
 def _copy(a) -> IntMatrix:
     return [[int(x) for x in row] for row in a]
-
-
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = _copy(a)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -279,9 +244,3 @@ class OnlineSnfState:
     def is_complete(self) -> bool:
         """True iff the absorbed vectors generate all of Z^n."""
         return all(r is not None and r[i] == 1 for i, r in enumerate(self._rows))
-
-    @property
-    def factors(self) -> list[int]:
-        """Nonzero invariant factors of the span (computed when read)."""
-        rows = [row for row in self._rows if row is not None]
-        return [f for f in snf(rows).factors if f] if rows else []

@@ -11,10 +11,11 @@ components relabels every member of the smaller one (Hopcroft & Ullman,
 relabelled at most log2(m) times.
 
 Orientation convention: an edge ``(source, dest, v)`` is directed
-source -> dest; a forest edge therefore fixes path_sum(source, dest) = v.
-The cycle sum reported for a rejected-by-forest edge is the sum around the
-cycle traversed through the forest from source to dest and back through
-the new edge reversed: path_sum(source, dest) - v.
+source -> dest; a forest edge therefore fixes the path sum from source to
+dest, ``offset(source) - offset(dest)``, to v.  The cycle sum reported for
+a rejected-by-forest edge is the sum around the cycle traversed through the
+forest from source to dest and back through the new edge reversed:
+``offset(source) - offset(dest) - v``.
 
 The lifted periodic graph is connected exactly when the quotient graph is
 connected and its cycle sums generate Z^n; this is the quotient-graph
@@ -34,8 +35,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Literal, Optional
-
-import numpy as np
 
 from .edges import CandidateEdge
 
@@ -72,10 +71,6 @@ class QuotientState:
         self._offset = [(0,) * n] * m
         self._members = {v: [v] for v in range(m)}
 
-    @property
-    def component_count(self) -> int:
-        return len(self._members)
-
     def connected(self) -> bool:
         return len(self._members) == 1
 
@@ -105,13 +100,3 @@ class QuotientState:
             self._offset[u] = _add(self._offset[u], shift)
         self._members[keep].extend(moved)
         return FOREST
-
-    def path_sum(self, u: int, w: int) -> Optional[np.ndarray]:
-        """Sum of labels along the forest path u -> w; None if disconnected."""
-        if not (0 <= u < self.m and 0 <= w < self.m):
-            raise IndexError("vertex out of range")
-        if self._root[u] != self._root[w]:
-            return None
-        return np.array(
-            [a - b for a, b in zip(self._offset[u], self._offset[w])], dtype=np.int64
-        )

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bridgelen import LatticeBasis, Motif, PeriodicSet, cell_metrics
+from bridgelen import LatticeBasis, Motif, OnlineSnfState, PeriodicSet, cell_metrics, snf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -149,3 +149,46 @@ def random_set(
     if m is None:
         m = int(rng.integers(1, 5))
     return PeriodicSet(random_basis(rng, n, max_aspect), random_motif(rng, n, m))
+
+
+def matmul(a, b):
+    """Exact product of two integer matrices given as lists of rows."""
+    cols = len(b[0])
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+        for row in a
+    ]
+
+
+def det(a) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    m = [[int(x) for x in row] for row in a]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def span_factors(state: OnlineSnfState) -> list[int]:
+    """Nonzero invariant factors of the span an online state holds: the
+    nonzero :func:`snf` factors of its kept rows."""
+    rows = [row for row in state._rows if row is not None]
+    return [f for f in snf(rows).factors if f] if rows else []

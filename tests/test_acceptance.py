@@ -28,9 +28,8 @@ from bridgelen import (
     spans_lattice,
 )
 from bridgelen.cli import main as cli_main
-from bridgelen.intlinalg import _matmul, det
 
-from conftest import make_set, random_set
+from conftest import det, make_set, matmul, random_set, span_factors
 
 FUZZ_PLAN = ((1, 200), (2, 200), (3, 100))  # dimension -> set count
 
@@ -79,9 +78,9 @@ def test_criterion_2_golden_trace(fig3_set):
     assert first_cycle[1] == (0, 1)
     state = OnlineSnfState(2)
     state.add(first_cycle[1])
-    assert state.factors == [1] and not state.is_complete()
+    assert span_factors(state) == [1] and not state.is_complete()
     state.add(second_cycle[1])
-    assert state.factors == [1, 1] and state.is_complete()
+    assert span_factors(state) == [1, 1] and state.is_complete()
     # termination exactly at the second cycle edge
     assert report.last_edge == second_cycle[0]
     assert report.edges_examined == 3
@@ -181,7 +180,7 @@ def test_criterion_6_snf_algebra():
             [int(rng.integers(-9, 10)) for _ in range(cols)] for _ in range(rows)
         ]
         res = snf(a)
-        assert _matmul(res.l, _matmul(a, res.r)) == res.d
+        assert matmul(res.l, matmul(a, res.r)) == res.d
         assert abs(det(res.l)) == 1
         assert abs(det(res.r)) == 1
         nonzero = [f for f in res.factors if f]
@@ -198,7 +197,7 @@ def test_criterion_6_snf_algebra():
         for v in vectors:
             state.add(v)
         batch = [[vectors[j][i] for j in range(count)] for i in range(n)]
-        assert state.factors == [f for f in snf(batch).factors if f]
+        assert span_factors(state) == [f for f in snf(batch).factors if f]
         streams += 1
     _report(
         6,

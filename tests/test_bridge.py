@@ -23,7 +23,7 @@ from bridgelen import (
 )
 
 from bridgelen import edges as edges_module
-from bridgelen.geometry import change_basis, reduce_basis
+from bridgelen.geometry import change_basis, reduce_basis, wrapped_delta
 
 from conftest import make_set, random_set, random_unimodular, sheared_bcc, slab_19
 
@@ -236,6 +236,29 @@ class TestBoundsAndInvariances:
         else:
             assert beta == pytest.approx(c, rel=1e-12)
             assert beta == c or not exact
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.sampled_from([1e-6, 1e-4, 1e-2]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_beta_is_2_lipschitz_under_motif_moves(self, n, m, eps, seed):
+        # Moving every point by at most `move` changes every edge length by
+        # at most 2 move, and beta is the longest edge on a bottleneck path
+        # of the whole set, so it moves by at most 2 move too.  The move is
+        # measured after the fractional round trip, not taken as eps.
+        rng = np.random.default_rng(seed)
+        pset = random_set(rng, n=n, m=m)
+        b = pset.basis.vectors
+        step = rng.normal(size=(m, n))
+        step *= eps * rng.random((m, 1)) / np.linalg.norm(step, axis=1, keepdims=True)
+        moved = PeriodicSet(pset.basis, Motif(pset.motif.points + step @ np.linalg.inv(b)))
+        delta = wrapped_delta(moved.motif.points, pset.motif.points) @ b
+        move = np.linalg.norm(delta, axis=1).max()
+        beta = bridge_length(pset).beta
+        assert abs(bridge_length(moved).beta - beta) <= 2 * move + 1e-12 * beta
 
     def test_motif_order_invariance(self):
         # Join order decides which component is relabelled; beta, the forest

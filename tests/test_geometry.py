@@ -16,7 +16,6 @@ from bridgelen import (
     Motif,
     PeriodicSet,
     cell_metrics,
-    facet_heights,
 )
 from bridgelen import geometry
 from bridgelen.geometry import (
@@ -171,14 +170,13 @@ class TestCellMetrics:
             expected = [
                 vol / brute_force_facet_volume(basis.vectors, i) for i in range(n)
             ]
-            assert facet_heights(basis) == pytest.approx(expected, rel=1e-9)
+            assert cell_metrics(basis).heights == pytest.approx(expected, rel=1e-9)
 
     def test_metrics_carry_the_facet_heights(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             basis = random_basis(rng, int(rng.integers(1, 9)), max_aspect=10.0)
             m = cell_metrics(basis)
-            assert m.heights == tuple(facet_heights(basis).tolist())
             assert m.h == min(m.heights)
 
     def test_order_invariants_on_random_bases(self):
@@ -268,7 +266,7 @@ class TestCellMetrics:
     )
     def test_cells_outside_the_float_range_still_raise(self, n, scale):
         basis = LatticeBasis(np.eye(n) * scale)
-        for fn in (cell_metrics, loop_cell_metrics, facet_heights):
+        for fn in (cell_metrics, loop_cell_metrics):
             with pytest.raises(DegenerateCell, match="outside the floating-point range"):
                 fn(basis)
 
@@ -458,20 +456,6 @@ class TestMotif:
 
 
 class TestPeriodicSet:
-    def test_cartesian_position_z2(self, z2):
-        assert z2.cartesian_position(0, (1, 1)) == pytest.approx([1.0, 1.0])
-
-    def test_cartesian_position_bcc(self, bcc):
-        assert bcc.cartesian_position(1, (0, 0, 0)) == pytest.approx([0.5, 0.5, 0.5])
-
-    def test_cartesian_position_scaled_cell(self):
-        pset = make_set([[2.0, 0.0], [0.0, 2.0]], [[0.25, 0.75]])
-        assert pset.cartesian_position(0, (-1, 0)) == pytest.approx([-1.5, 1.5])
-
-    def test_index_out_of_range(self, z2):
-        with pytest.raises(IndexError):
-            z2.cartesian_position(1, (0, 0))
-
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PeriodicSet(LatticeBasis(np.eye(2)), Motif([[0.0, 0.0, 0.0]]))

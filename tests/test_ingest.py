@@ -210,15 +210,15 @@ class TestSymmetryOps:
             mat, _ = parse_symmetry_op(op)
             assert round(abs(np.linalg.det(mat))) == 1
 
-    def test_repeated_parse_returns_fresh_arrays(self):
+    def test_parse_is_cached_and_immutable(self):
         op = "1/2-x, y+1/2, -z"
-        mat, trans = parse_symmetry_op(op)
-        mat[:] = 7.0
-        trans[:] = 7.0
-        again_mat, again_trans = parse_symmetry_op(op)
-        assert again_mat is not mat and again_trans is not trans
-        assert np.array_equal(again_mat, np.diag([-1.0, 1.0, -1.0]))
-        assert again_trans == pytest.approx([0.5, 0.5, 0.0])
+        mat, trans = parsed = parse_symmetry_op(op)
+        assert parse_symmetry_op(op) is parsed
+        assert isinstance(trans, tuple) and all(isinstance(row, tuple) for row in mat)
+        assert mat == ((-1, 0, 0), (0, 1, 0), (0, 0, -1))
+        assert trans == pytest.approx([0.5, 0.5, 0.0])
+        with pytest.raises(TypeError):
+            mat[0][0] = 7
         # the expansion reads the same cached parse
         doc = parse_cif(cif_text(sites=((0.1, 0.2, 0.3),), ops=("x, y, z", op)))
         assert to_periodic_set(doc).motif.points[1] == pytest.approx([0.4, 0.7, 0.7])
