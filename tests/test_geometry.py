@@ -456,6 +456,24 @@ class TestMotif:
 
 
 class TestPeriodicSet:
+    def test_cartesian_motif_bcc(self, bcc):
+        expected = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+        assert bcc.cartesian_motif == pytest.approx(expected)
+
+    def test_cartesian_motif_scaled_cell(self):
+        pset = make_set([[2.0, 0.0], [0.0, 2.0]], [[0.25, 0.75]])
+        assert pset.cartesian_motif == pytest.approx(np.array([[0.5, 1.5]]))
+
+    def test_cartesian_motif_rows_are_points_times_basis(self):
+        # basis vectors are rows, so a point is sum_i x_i * v_i
+        pset = make_set([[2.0, 0.0], [1.0, 2.0]], [[0.25, 0.75], [0.5, 0.0]])
+        expected = np.array([[1.25, 1.5], [1.0, 0.0]])
+        assert pset.cartesian_motif == pytest.approx(expected)
+
+    def test_cartesian_motif_is_read_only(self, z2):
+        with pytest.raises(ValueError):
+            z2.cartesian_motif[0, 0] = 1.0
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PeriodicSet(LatticeBasis(np.eye(2)), Motif([[0.0, 0.0, 0.0]]))
