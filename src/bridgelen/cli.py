@@ -1,11 +1,12 @@
 """Command-line front end: per-file reports and batch tables.
 
 ``compute FILE`` prints one CSV row (or a full JSON report with --json);
-``batch DIR`` prints one CSV row per .cif/.json file in the directory,
-processing files concurrently but assembling output in a deterministic
-order.  Exit codes: 0 ok, 1 parse/read error, 2 degenerate cell or usage
-error (a bad option value, such as a --tol that is not a finite number
-> 0), 3 verification mismatch, 4 oracle inconclusive.
+``batch DIR`` prints one CSV row per .cif/.json file in the directory, in a
+deterministic order.  ``--jobs N`` runs N threads in one interpreter; they
+share its lock, so CPU-bound files do not run in parallel.  Exit codes: 0
+ok, 1 parse/read error, 2 degenerate cell or usage error (a bad option
+value, such as a --tol that is not a finite number > 0), 3 verification
+mismatch, 4 oracle inconclusive.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class ReportRow:
     basis_size: int
     ms: float
     error: str = ""
-
-
-def _exit_for(exc: BaseException) -> int:
-    if isinstance(exc, OracleInconclusive):
-        return 4
-    if isinstance(exc, DegenerateCell):
-        return 2
-    return 1
 
 
 def _compute_one(path, fmt, expand_symmetry, tol) -> tuple[str, int, BridgeReport]:
@@ -189,7 +182,7 @@ def compute(path, as_json, verify, fmt, no_symmetry, tol, precision):
         report = bridge_length(pset)
     except Exception as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_for(exc))
+        sys.exit(2 if isinstance(exc, DegenerateCell) else 1)
 
     oracle_beta = None
     if verify:
@@ -229,7 +222,8 @@ def compute(path, as_json, verify, fmt, no_symmetry, tol, precision):
     type=click.IntRange(min=1),
     default=1,
     show_default=True,
-    help="Process up to this many files concurrently.",
+    help="Threads to process files with; they share one interpreter lock, "
+    "so CPU-bound files do not run in parallel.",
 )
 @_format_option
 @_symmetry_option

@@ -69,7 +69,16 @@ _SYMOP_TAGS = ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz")
 _NUMBER_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?:\(\d+\))?$"
 )
-_TERM_RE = re.compile(r"([+-]?)([xyz]|\d+(?:\.\d+)?(?:/\d+)?|\.\d+)")
+# One CIF token (Hall, Allen & Brown, Acta Cryst. A47, 1991), by group: 1
+# or 2, a quoted value, which closes only at its quote followed by a blank
+# or the line end; 3, a quote that never closes so, or a '#' that starts a
+# comment; 4, a bare value, up to the next blank.
+_TOKEN_RE = re.compile(r"""'(.*?)'(?=[ \t]|$)|"(.*?)"(?=[ \t]|$)|(['"#])|([^ \t]+)""")
+# A symmetry-operation component: signed x/y/z terms and p/q or decimal
+# constants, each after the first joined by a sign.
+_TERM = r"[xyz]|\d+(?:\.\d+)?(?:/\d+)?|\.\d+"
+_COMPONENT_RE = re.compile(rf"[+-]?(?:{_TERM})(?:[+-](?:{_TERM}))*")
+_TERM_RE = re.compile(rf"([+-]?)({_TERM})")
 
 
 @dataclass(frozen=True)
@@ -86,50 +95,26 @@ class CrystalDocument:
 def _tokenize(text: str):
     """List of (value, line_number, was_quoted) tokens, in file order."""
     tokens = []
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines):
-        line = lines[idx]
-        lineno = idx + 1
+    lines = enumerate(text.splitlines(), 1)
+    for lineno, line in lines:
         if line.startswith(";"):
             # multi-line text field; keep as one opaque value token
             field = [line[1:]]
-            idx += 1
-            while idx < len(lines) and not lines[idx].startswith(";"):
-                field.append(lines[idx])
-                idx += 1
-            if idx >= len(lines):
+            for _, line in lines:
+                if line.startswith(";"):
+                    break
+                field.append(line)
+            else:
                 raise ParseError("unterminated ';' text field", lineno)
             tokens.append(("\n".join(field), lineno, True))
-            idx += 1
             continue
-        pos = 0
-        end = len(line)
-        while pos < end:
-            ch = line[pos]
-            if ch in " \t":
-                pos += 1
-                continue
-            if ch == "#":
-                break
-            if ch in "'\"":
-                close = pos + 1
-                while True:
-                    close = line.find(ch, close)
-                    if close == -1:
-                        raise ParseError("unterminated quoted value", lineno)
-                    if close + 1 >= end or line[close + 1] in " \t":
-                        break
-                    close += 1
-                tokens.append((line[pos + 1 : close], lineno, True))
-                pos = close + 1
-            else:
-                nxt = pos
-                while nxt < end and line[nxt] not in " \t":
-                    nxt += 1
-                tokens.append((line[pos:nxt], lineno, False))
-                pos = nxt
-        idx += 1
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastindex
+            if kind == 3:
+                if m[3] == "#":
+                    break
+                raise ParseError("unterminated quoted value", lineno)
+            tokens.append((m[kind], lineno, kind != 4))
     return tokens
 
 
@@ -182,9 +167,7 @@ def parse_cif(text) -> CrystalDocument:
             values = []
             while i < len(body):
                 v, ln, q = body[i]
-                if not q and (
-                    v.startswith("_") or v.lower() == "loop_" or v.lower().startswith("data_")
-                ):
+                if not q and (v.startswith("_") or v.lower() == "loop_"):
                     break
                 values.append((v, ln))
                 i += 1
@@ -273,17 +256,9 @@ def parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float
     trans = [0.0, 0.0, 0.0]
     for r, comp in enumerate(parts):
         s = comp.replace(" ", "").lower()
-        if not s:
-            raise SymOpError(f"empty component in {op!r}")
-        pos = 0
-        first = True
-        while pos < len(s):
-            m = _TERM_RE.match(s, pos)
-            if m is None:
-                raise SymOpError(f"cannot parse component {comp!r} of {op!r}")
-            sign_txt, term = m.group(1), m.group(2)
-            if not first and not sign_txt:
-                raise SymOpError(f"missing operator in component {comp!r} of {op!r}")
+        if not _COMPONENT_RE.fullmatch(s):
+            raise SymOpError(f"cannot parse component {comp!r} of {op!r}")
+        for sign_txt, term in _TERM_RE.findall(s):
             sign = -1 if sign_txt == "-" else 1
             if term in "xyz":
                 mat[r]["xyz".index(term)] += sign
@@ -296,8 +271,6 @@ def parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float
                 trans[r] += sign * float(num) / float(den)
             else:
                 trans[r] += sign * float(term)
-            pos = m.end()
-            first = False
     (a, b, c), (d, e, f), (g, h, k) = mat
     det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
     if det not in (1, -1):

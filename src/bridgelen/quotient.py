@@ -89,7 +89,7 @@ class QuotientState:
             if not any(c):
                 return ZERO_CYCLE
             return EdgeOutcome(kind="cycle", cycle_sum=c)
-        # relabel the smaller side so that path_sum(source, dest) == v
+        # relabel the smaller side so that offset(source) - offset(dest) == v
         if len(self._members[rs]) >= len(self._members[rd]):
             keep, gone, shift = rs, rd, c
         else:

@@ -49,10 +49,32 @@ def test_compute_full_json_report(runner, fixtures_dir):
     assert [e["cycle_sum"] for e in payload["basis_cycle_edges"]] == [[0, 1], [-1, 0]]
 
 
+def test_compute_json_verify_reports_the_oracle_beta(runner, fixtures_dir):
+    result = runner.invoke(
+        main, ["compute", str(fixtures_dir / "bcc.json"), "--json", "--verify"]
+    )
+    assert result.exit_code == 0
+    assert "verify: ok" in result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["beta"] == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+    assert payload["oracle_beta"] == pytest.approx(payload["beta"], rel=1e-9)
+
+
 def test_compute_broken_cif_exits_1(runner, fixtures_dir):
     result = runner.invoke(main, ["compute", str(fixtures_dir / "broken.cif")])
     assert result.exit_code == 1
     assert "line 3" in result.stderr
+
+
+def test_compute_unterminated_quote_exits_1(runner, fixtures_dir, tmp_path):
+    text = (fixtures_dir / "bcc.cif").read_text()
+    assert "'x+1/2, y+1/2, z+1/2'" in text
+    bad = tmp_path / "bad.cif"
+    bad.write_text(text.replace("'x+1/2, y+1/2, z+1/2'", "'x+1/2, y+1/2, z+1/2"))
+    result = runner.invoke(main, ["compute", str(bad)])
+    assert result.exit_code == 1
+    assert "unterminated quoted value" in result.stderr
+    assert "line 12" in result.stderr
 
 
 def test_compute_singular_symmetry_op_exits_1(runner, fixtures_dir, tmp_path):

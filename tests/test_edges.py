@@ -23,6 +23,7 @@ from bridgelen import (
 from bridgelen import bridge as bridge_module
 from bridgelen import edges as edges_module
 from bridgelen.geometry import row_norms
+from bridgelen.oracle import oracle_bridge_length
 
 from conftest import (
     make_set,
@@ -1106,6 +1107,26 @@ class TestReducedCell:
     def test_unreduced_cell_builds_no_reduced_state(self, bcc):
         gen = EdgeGenerator(bcc)
         assert gen._unimodular is None and gen._cell is gen.metrics
+
+    def test_reduced_cell_no_better_shaped_is_not_used(self):
+        # LLL shears this cell by U = [[1, 0], [-1, 1]] into one of the same
+        # aspect: only a strictly better shaped cell replaces the input's
+        basis = np.array(
+            [
+                [-0.973625254060252, 0.3911925255209856],
+                [-0.24894734161071963, 0.9984008699557433],
+            ]
+        )
+        pset = make_set(basis, [[0.0, 0.0], [0.3, 0.6]])
+        u, _ = edges_module.reduce_basis(basis)
+        assert u.tolist() == [[1, 0], [-1, 1]]
+        aspect = cell_metrics(pset.basis).aspect
+        assert cell_metrics(LatticeBasis(u @ basis)).aspect == aspect == 1.258717769407988
+        gen = EdgeGenerator(pset)
+        assert gen._unimodular is None and gen._cell is gen.metrics
+        assert bridge_length(pset).beta == pytest.approx(
+            oracle_bridge_length(pset), rel=1e-12
+        )
 
     def test_reduced_cell_outside_the_float_range_is_not_used(self):
         # b3 - 5 b1 = (0, 5 a' - 5 a, 1) has an entry of 1e-165, whose

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bridgelen import (
     write_json_set,
 )
 from bridgelen.geometry import wrap_fractional, wrapped_delta
-from bridgelen.ingest import _MERGE_BLOCK, parse_symmetry_op
+from bridgelen.ingest import _MERGE_BLOCK, _tokenize, parse_symmetry_op
 
 from conftest import make_set, random_set
 
@@ -66,6 +67,142 @@ def cif_text(a=1.0, b=1.0, c=1.0, alpha=90.0, beta=90.0, gamma=90.0,
     for i, s in enumerate(sites):
         lines.append(f"X{i} {s[0]} {s[1]} {s[2]}")
     return "\n".join(lines) + "\n"
+
+
+def reference_tokenize(text: str):
+    """Oracle: the character scanner the token grammar replaced, verbatim.
+    List of (value, line_number, was_quoted) tokens, in file order."""
+    tokens = []
+    lines = text.splitlines()
+    idx = 0
+    while idx < len(lines):
+        line = lines[idx]
+        lineno = idx + 1
+        if line.startswith(";"):
+            # multi-line text field; keep as one opaque value token
+            field = [line[1:]]
+            idx += 1
+            while idx < len(lines) and not lines[idx].startswith(";"):
+                field.append(lines[idx])
+                idx += 1
+            if idx >= len(lines):
+                raise ParseError("unterminated ';' text field", lineno)
+            tokens.append(("\n".join(field), lineno, True))
+            idx += 1
+            continue
+        pos = 0
+        end = len(line)
+        while pos < end:
+            ch = line[pos]
+            if ch in " \t":
+                pos += 1
+                continue
+            if ch == "#":
+                break
+            if ch in "'\"":
+                close = pos + 1
+                while True:
+                    close = line.find(ch, close)
+                    if close == -1:
+                        raise ParseError("unterminated quoted value", lineno)
+                    if close + 1 >= end or line[close + 1] in " \t":
+                        break
+                    close += 1
+                tokens.append((line[pos + 1 : close], lineno, True))
+                pos = close + 1
+            else:
+                nxt = pos
+                while nxt < end and line[nxt] not in " \t":
+                    nxt += 1
+                tokens.append((line[pos:nxt], lineno, False))
+                pos = nxt
+        idx += 1
+    return tokens
+
+
+def tokens_or_error_line(tokenize, text):
+    """The tokens of ``text``, or the line of the ParseError it raises."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("ParseError", exc.line)
+
+
+TOKEN_SAMPLE = """\
+data_x  # a comment
+_name 'it''s' "say "hi"" a#b
+;first
+ second
+;
+loop_
+_tag\t'' ""
+"""
+
+
+class TestTokenize:
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("data_x\n_a 'open value\n_b 1\n", 2),
+            ('data_x\n_a 1\n_b "open value\n', 3),
+            ("data_x\n_a 'x'y\n", 2),
+            ("data_x\n_a\n;text\nmore text\n", 3),
+            ("data_x\n_a\n;text\n more\n ;indented\n", 3),
+        ],
+    )
+    def test_unterminated_value_reports_its_opening_line(self, text, line):
+        with pytest.raises(ParseError) as err:
+            _tokenize(text)
+        assert err.value.line == line
+        with pytest.raises(ParseError, match=f"line {line}: unterminated"):
+            parse_cif(text)
+
+    def test_quote_closes_only_before_a_blank(self):
+        assert _tokenize("'a'b c'") == [("a'b c", 1, True)]
+        assert _tokenize("x 'a'b c' \"d\"e\"\ty") == [
+            ("x", 1, False),
+            ("a'b c", 1, True),
+            ('d"e', 1, True),
+            ("y", 1, False),
+        ]
+
+    def test_hash_starts_a_comment_only_at_a_token_start(self):
+        assert _tokenize("a#b c") == [("a#b", 1, False), ("c", 1, False)]
+        assert _tokenize("a #b c\n#d\ne") == [("a", 1, False), ("e", 3, False)]
+        assert _tokenize("'a #b' c") == [("a #b", 1, True), ("c", 1, False)]
+
+    def test_sample(self):
+        assert _tokenize(TOKEN_SAMPLE) == [
+            ("data_x", 1, False),
+            ("_name", 2, False),
+            ("it''s", 2, True),
+            ('say "hi"', 2, True),
+            ("a#b", 2, False),
+            ("first\n second", 3, True),
+            ("loop_", 6, False),
+            ("_tag", 7, False),
+            ("", 7, True),
+            ("", 7, True),
+        ]
+
+    def test_crlf_gives_the_same_tokens_as_lf(self):
+        for text in (TOKEN_SAMPLE, CUBE_CIF):
+            assert _tokenize(text.replace("\n", "\r\n")) == _tokenize(text)
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["a", "b", "_x", "data_", "loop_", " ", "\t", "'", '"', "#", ";",
+                 "\n", "\r\n", "\x0c"]
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_reference_scanner(self, text):
+        assert tokens_or_error_line(_tokenize, text) == tokens_or_error_line(
+            reference_tokenize, text
+        )
 
 
 class TestParseCif:
@@ -235,6 +372,69 @@ class TestSymmetryOps:
             to_periodic_set(doc)
         # without expansion the operations are never read
         assert to_periodic_set(doc, expand_symmetry=False).motif_size == 1
+
+
+# One symmetry-operation term: its text, and the (axis, constant) it adds.
+_AXIS_TERMS = st.sampled_from(["x", "y", "z", "X", "Y", "Z"]).map(
+    lambda a: (a, ("xyz".index(a.lower()), 0))
+)
+_RATIONAL_TERMS = st.tuples(st.integers(0, 12), st.integers(1, 12)).map(
+    lambda pq: (f"{pq[0]}/{pq[1]}", (None, Fraction(pq[0], pq[1])))
+)
+_DECIMAL_TERMS = st.tuples(
+    st.one_of(st.none(), st.integers(0, 9)), st.integers(0, 999)
+).map(
+    lambda d: (
+        f"{'' if d[0] is None else d[0]}.{d[1]:03d}",
+        (None, Fraction(f"{d[0] or 0}.{d[1]:03d}")),
+    )
+)
+_COMPONENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["+", "-"]),
+        st.one_of(_AXIS_TERMS, _RATIONAL_TERMS, _DECIMAL_TERMS),
+        st.sampled_from(["", " "]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestSymmetryOpGrammar:
+    @given(st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_terms_summed_directly(self, components, first_unsigned):
+        texts, mat, trans = [], [[0, 0, 0] for _ in range(3)], [Fraction(0)] * 3
+        for r, terms in enumerate(components):
+            text = ""
+            for k, (sign, (term, (axis, value)), blank) in enumerate(terms):
+                if k == 0 and first_unsigned and sign == "+":
+                    sign = ""
+                text += f"{sign}{blank}{term}{blank}"
+                s = -1 if sign == "-" else 1
+                if axis is None:
+                    trans[r] += s * value
+                else:
+                    mat[r][axis] += s
+            texts.append(text)
+        op = ",".join(texts)
+        det = round(np.linalg.det(np.array(mat, dtype=float)))
+        if det not in (1, -1):
+            with pytest.raises(SymOpError, match=f"determinant {det}, not"):
+                parse_symmetry_op(op)
+            return
+        got_mat, got_trans = parse_symmetry_op(op)
+        assert got_mat == tuple(map(tuple, mat))
+        assert got_trans == pytest.approx([float(t) for t in trans], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "op",
+        ["x, , z", "x, y, z+", "x, y, +", "x, y, zx", "x, y, 1/2z", "x, y, z 1",
+         "x, y, 1.", "x, y, .", "x, y, 1/", "x, y, --z", "x, y, z\t"],
+    )
+    def test_rejects_a_component_outside_the_grammar(self, op):
+        with pytest.raises(SymOpError, match=r"cannot parse component"):
+            parse_symmetry_op(op)
 
 
 def assert_greedy_merge(doc, tol):
