@@ -35,15 +35,15 @@ from .errors import DegenerateCell, InvalidScale
 DET_FLOOR = 1e-12
 
 #: Default tolerance (fractional, wrap-aware) below which two motif points
-#: are considered coincident; see :func:`coincident`.
+#: are considered coincident; see :func:`coincident_pairs`.
 MOTIF_DEDUP_TOL = 1e-8
 
 #: Practical cap on the dimension; the algorithms are dimension-generic.
 MAX_DIM = 8
 
-#: Candidate pairs per block of the motif check, so its temporaries hold
-#: _PAIRS * n floats whatever the tolerance.
-_PAIRS = 1 << 14
+#: Candidate pairs per block of :func:`coincident_pairs`, so its
+#: temporaries hold _PAIRS * n floats whatever the tolerance.
+_PAIRS = 1 << 12
 
 #: Lovasz constant of :func:`reduce_basis`.
 LLL_DELTA = 0.75
@@ -58,9 +58,13 @@ _LLL_TOL = 1e-9
 #: potential, so this is only a guard against rounding.
 _LLL_STEPS = 10_000
 
-#: Absolute widening of the motif check's window on the first coordinate,
-#: against the rounding of the differences there (a few 1e-16) and for a
-#: difference whose square underflows (below 1e-154).
+#: Integer weights of the projection :func:`coincident_pairs` sorts on, and
+#: their Euclidean norm.
+_WEIGHTS = np.array([1.0, 3.0, 7.0])
+_REACH = math.hypot(*_WEIGHTS)
+
+#: Absolute widening of the window of :func:`coincident_pairs` on that
+#: projection, against rounding and underflow.
 _WINDOW_SLACK = 1e-12
 
 
@@ -91,21 +95,6 @@ def wrapped_delta(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Componentwise fractional difference p - q mapped into [-0.5, 0.5)."""
     d = p - q
     return d - np.round(d)
-
-
-def coincident(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """``(len(a), len(b))`` mask of the pairs of rows that are the same site.
-
-    Two fractional points are the same site when their wrap-aware
-    difference has Euclidean norm below ``tol``; entry ``[i, j]`` measures
-    ``a[i] - b[j]``.  The unit is fractional, not length: CIF files print
-    sites to a fixed number of fractional decimals, so the rounding that
-    separates a site on a special position from its own symmetry image is a
-    fraction of the cell.  A fractional test also gives the same answer for
-    a set and any scaled copy of it, so a change of length unit never
-    merges or splits sites.
-    """
-    return row_norms(wrapped_delta(a[:, None], b[None])) < tol
 
 
 def check_tolerance(tol: float) -> float:
@@ -177,48 +166,61 @@ class LatticeBasis:
         )
 
 
-def _first_coincident_pair(arr: np.ndarray, tol: float):
-    """The first pair ``(i, j)``, i < j, in row-major order whose wrap-aware
-    difference has ``row_norms(wrapped_delta(arr[i], arr[j])) < tol``, or
-    None.
+def coincident_pairs(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``(i, j)``, i < j, of rows of ``points`` with
+    ``row_norms(wrapped_delta(points[i], points[j])) < tol``, once each,
+    ordered by j and then i, as two index arrays.
 
-    The computed norm is at least the computed |Delta_0| of the first
-    coordinate, unless Delta_0 squared underflows: every summand is a
-    square, and sqrt(fl(x * x)) is |x|.  So only the pairs within ``tol``
-    on the first axis, across the wrap or not, can pass.  One stable sort
-    of that axis finds them as two runs per point: the later points up to
-    ``tol`` above it, and those more than ``1 - tol`` above it.  The window
-    is ``tol + _WINDOW_SLACK`` wide, so no pair the exact test accepts lies
-    outside it, and the exact test runs on these candidates alone, in
-    blocks of ``_PAIRS``.
+    Two fractional points are the same site when their wrap-aware
+    difference has Euclidean norm below ``tol``.  The unit is fractional,
+    not length: CIF files print sites to a fixed number of fractional
+    decimals, so the rounding that separates a site on a special position
+    from its own symmetry image is a fraction of the cell.  A fractional
+    test also gives the same answer for a set and any scaled copy of it, so
+    a change of length unit never merges or splits sites.
+
+    The search sorts the projection p = w . f mod 1 of the rows, with the
+    integer weights w = (1, 3, 7) on the first three axes (the first n when
+    n < 3).  A lattice shift of a row moves p by an integer, so a pair
+    whose wrapped difference D has norm below ``tol`` has a wrapped
+    |Delta p| = |w . D| of at most |w| tol <= sqrt(59) tol
+    (Cauchy-Schwarz); axes beyond the third only make |D| larger.  With the
+    sorted keys repeated one turn up, each point's candidates are the run
+    of keys after its own, up to ``sqrt(59) tol + _WINDOW_SLACK`` above it
+    and fewer than m.  The rounding of D, of its computed norm, of p and of
+    the window ends is a few 1e-16 to 1e-15, and the slack also covers a
+    coordinate difference whose square underflows (below 1e-154), so no
+    pair the exact test accepts lies outside the window.  The exact test
+    runs on the candidates alone, in blocks of ``_PAIRS``.  The window
+    cannot tell a direction such as (1, 2, -1), along which p does not
+    change, so sites spread along one such line are all candidates.
     """
-    m = len(arr)
+    m, n = points.shape
     if m == 1:  # no pairs
-        return None
-    x = arr[:, 0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    width = tol + _WINDOW_SLACK
-    # sorted point a is near the points at a + 1 .. near[a] - 1, and across
-    # the wrap near those from far[a] on
-    near = np.searchsorted(xs, xs + width)
-    far = np.maximum(np.searchsorted(xs, xs + (1.0 - width), side="right"), near)
-    inside = near - np.arange(1, m + 1)
-    count = inside + (m - far)
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    p = np.dot(points[:, :3], _WEIGHTS[:n]) % 1.0
+    order = np.argsort(p, kind="stable")
+    ps = p[order]
+    keys = np.concatenate([ps, ps + 1.0])
+    # sorted point a is near the keys at a + 1 .. a + count[a], modulo m
+    reach = np.searchsorted(keys, ps + (_REACH * tol + _WINDOW_SLACK))
+    count = np.minimum(reach - np.arange(1, m + 1), m - 1)
     end = np.cumsum(count)
-    firsts = []
-    for start in range(0, int(end[-1]), _PAIRS):
+    if end[-1] == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    found = []
+    for start in range(0, end[-1], _PAIRS):
         # candidate `index` is the k-th of sorted point a's partners
-        index = np.arange(start, min(start + _PAIRS, int(end[-1])))
+        index = np.arange(start, min(start + _PAIRS, end[-1]))
         a = np.searchsorted(end, index, side="right")
-        k = index - (end - count)[a]
-        b = np.where(k < inside[a], a + 1 + k, far[a] + k - inside[a])
-        i, j = order[a], order[b]
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        hit = row_norms(wrapped_delta(arr[i], arr[j])) < tol
-        if hit.any():
-            firsts.append(int((i * m + j)[hit].min()))
-    return divmod(min(firsts), m) if firsts else None
+        a, b = order[a], order[(index - (end - count)[a] + a + 1) % m]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        hit = row_norms(wrapped_delta(points[i], points[j])) < tol
+        found.append((j * m + i)[hit])
+    key = np.sort(np.concatenate(found))
+    # a window wider than half a turn finds a pair from both of its rows
+    j, i = np.divmod(key[np.diff(key, prepend=-1) > 0], m)
+    return i, j
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +231,8 @@ class Motif:
     ``dedup_tol`` are rejected, and the first such pair ``(i, j)`` in
     row-major order is reported.  The tolerance is a wrap-aware distance in
     fractional coordinates, so whether a motif is accepted does not depend
-    on the size of the cell it is placed in (see :func:`coincident`), and
-    it must be a finite number above 0.  Only the pairs that one sort of
-    the first coordinate finds close there are tested; see
-    :func:`_first_coincident_pair`.
+    on the size of the cell it is placed in (see :func:`coincident_pairs`),
+    and it must be a finite number above 0.
     """
 
     points: np.ndarray
@@ -248,10 +248,10 @@ class Motif:
             raise ValueError("motif coordinates must be finite")
         arr = wrap_fractional(arr)
         tol = check_tolerance(self.dedup_tol)
-        pair = _first_coincident_pair(arr, tol)
-        if pair is not None:
-            i, j = pair
-            raise ValueError(f"motif points {i} and {j} coincide within {tol}")
+        i, j = coincident_pairs(arr, tol)
+        if len(i):
+            k = np.argmin(i * len(arr) + j)  # the first pair in row-major order
+            raise ValueError(f"motif points {i[k]} and {j[k]} coincide within {tol}")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 

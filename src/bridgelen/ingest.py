@@ -3,9 +3,10 @@
 CIF scope (deliberately small, geometry only): the first data block; the
 six cell tags; the atom-site loop's fractional coordinates (plus labels
 when present); one symmetry-operation loop.  Parenthesized uncertainties
-like ``1.234(5)`` are stripped.  Everything else is ignored.  Multi-line
-``;`` text fields and quoted values are tokenized correctly so they cannot
-derail the loops we do care about.
+like ``1.234(5)`` are stripped, and a number beyond the floating-point
+range is a parse error at its line.  Everything else is ignored.
+Multi-line ``;`` text fields and quoted values are tokenized correctly so
+they cannot derail the loops we do care about.
 
 The JSON format is a lossless carrier for arbitrary-dimension sets::
 
@@ -41,16 +42,13 @@ from .geometry import (
     Motif,
     PeriodicSet,
     check_tolerance,
-    coincident,
+    coincident_pairs,
     wrap_fractional,
 )
 
 #: Default tolerance (fractional, wrap-aware) for merging symmetry images;
-#: see :func:`bridgelen.geometry.coincident`.
+#: see :func:`bridgelen.geometry.coincident_pairs`.
 SYMMETRY_DEDUP_TOL = 1e-3
-
-#: Symmetry images per block of the greedy merge (see :func:`_merge_images`).
-_MERGE_BLOCK = 64
 
 #: Distinct operation strings whose parse is kept; a CIF corpus reuses the
 #: few hundred operations of its space groups again and again.
@@ -98,16 +96,17 @@ def _tokenize(text: str):
     lines = enumerate(text.splitlines(), 1)
     for lineno, line in lines:
         if line.startswith(";"):
-            # multi-line text field; keep as one opaque value token
+            # multi-line text field, one opaque value token; tokens may
+            # follow the ';' that closes it
             field = [line[1:]]
-            for _, line in lines:
+            for closing, line in lines:
                 if line.startswith(";"):
                     break
                 field.append(line)
             else:
                 raise ParseError("unterminated ';' text field", lineno)
             tokens.append(("\n".join(field), lineno, True))
-            continue
+            lineno, line = closing, line[1:]
         for m in _TOKEN_RE.finditer(line):
             kind = m.lastindex
             if kind == 3:
@@ -122,7 +121,10 @@ def _parse_number(value: str, line: int) -> float:
     m = _NUMBER_RE.match(value.strip())
     if not m:
         raise ParseError(f"malformed number {value!r}", line)
-    return float(m.group(1))
+    number = float(m.group(1))
+    if math.isinf(number):
+        raise ParseError(f"number {value!r} is beyond the floating-point range", line)
+    return number
 
 
 def _as_text(text) -> str:
@@ -194,7 +196,7 @@ def parse_cif(text) -> CrystalDocument:
     lengths = tuple(cell[:3])
     angles = tuple(cell[3:])
     for tag, v in zip(_CELL_TAGS[:3], lengths):
-        if not (v > 0 and math.isfinite(v)):
+        if v <= 0:
             raise ParseError(f"{tag} must be positive, got {v}", scalars[tag][1])
     for tag, v in zip(_CELL_TAGS[3:], angles):
         if not 0.0 < v < 180.0:
@@ -306,28 +308,22 @@ def basis_from_cell_parameters(lengths, angles) -> LatticeBasis:
 def _merge_images(images: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the rows of ``images`` that the greedy merge keeps.
 
-    A row is kept unless it is within ``tol`` of a row kept before it.  The
-    rows are taken in blocks of ``_MERGE_BLOCK``; each block is compared
-    with the rows kept so far and with its own earlier rows at once.  A
-    row near a kept one is dropped, a row with no earlier candidate near it
-    is kept, and a row near an earlier row that is surely kept is dropped;
-    only what is left (chains of rows, each near the one before) is decided
-    one by one, in order.
+    A row is kept unless it is within ``tol`` of a row kept before it.  One
+    search (:func:`bridgelen.geometry.coincident_pairs`) finds every pair
+    of rows within ``tol``.  A row with no earlier neighbour is kept, and a
+    row near such a row is dropped; only what is left (chains of rows, each
+    near the one before) is decided one by one, in order.
     """
-    keep = np.zeros(len(images), dtype=bool)
-    tri = np.tri(_MERGE_BLOCK, k=-1, dtype=bool)
-    for start in range(0, len(images), _MERGE_BLOCK):
-        block = images[start : start + _MERGE_BLOCK]
-        size = len(block)
-        kept = images[:start][keep[:start]]
-        free = ~coincident(block, kept, tol).any(axis=1)
-        near = coincident(block, block, tol) & tri[:size, :size] & free
-        sure = free & ~near.any(axis=1)
-        left = free & ~sure & ~(near & sure).any(axis=1)
-        out = keep[start : start + size]
-        out[:] = sure
-        for i in np.flatnonzero(left):
-            out[i] = not (near[i] & out).any()
+    earlier, later = coincident_pairs(images, tol)
+    keep = np.ones(len(images), dtype=bool)
+    keep[later] = False  # kept for sure: no earlier neighbour
+    left = ~keep
+    left[later[keep[earlier]]] = False  # dropped for sure: near a sure one
+    rows = np.flatnonzero(left)
+    # the pairs come ordered by their later row: row r's are lo .. hi - 1
+    bounds = zip(np.searchsorted(later, rows), np.searchsorted(later, rows, "right"))
+    for r, (lo, hi) in zip(rows, bounds):
+        keep[r] = not keep[earlier[lo:hi]].any()
     return keep
 
 
@@ -341,10 +337,10 @@ def to_periodic_set(
     Symmetry images landing within ``dedup_tol`` of an already-kept point
     are merged.  The tolerance is fractional and wrap-aware, which suits the
     fractional decimals CIF sites are printed with (see
-    :func:`bridgelen.geometry.coincident`), and must be a finite number
-    above 0.  The merge is greedy against the kept points, in the order of
-    sites and operations, so the result is deterministic; it runs in
-    blocks of images (see :func:`_merge_images`).
+    :func:`bridgelen.geometry.coincident_pairs`), and must be a finite
+    number above 0.  The merge is greedy against the kept points, in the
+    order of sites and operations, so the result is deterministic (see
+    :func:`_merge_images`).
 
     Each image is ``wrap_fractional(mat @ frac + trans)``, computed for all
     sites and operations at once.  A crystallographic operation has entries

@@ -77,6 +77,18 @@ def test_compute_unterminated_quote_exits_1(runner, fixtures_dir, tmp_path):
     assert "line 12" in result.stderr
 
 
+def test_compute_site_beyond_the_float_range_exits_1(runner, fixtures_dir, tmp_path):
+    text = (fixtures_dir / "bcc.cif").read_text()
+    assert "Fe1 0.0 0.0 0.0" in text
+    bad = tmp_path / "huge_site.cif"
+    bad.write_text(text.replace("Fe1 0.0 0.0 0.0", "Fe1 0.0 1e999 0.0"))
+    result = runner.invoke(main, ["compute", str(bad)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "line 18" in result.stderr
+    assert "number '1e999' is beyond the floating-point range" in result.stderr
+
+
 def test_compute_singular_symmetry_op_exits_1(runner, fixtures_dir, tmp_path):
     text = (fixtures_dir / "bcc.cif").read_text()
     assert "'x+1/2, y+1/2, z+1/2'" in text

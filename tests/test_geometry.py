@@ -389,23 +389,40 @@ class TestMotif:
         st.integers(1, 4),
         st.floats(-12.0, math.log10(0.45)),
         st.integers(0, 2**32 - 1),
-        st.sampled_from(["wrap", "ties", "near", "all"]),
+        st.sampled_from(["wrap", "ties", "p-wrap", "p-ties", "line", "near", "all"]),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_pairwise_reference_where_the_sort_can_go_wrong(
         self, m, n, log_tol, seed, kind
     ):
-        # the check sorts the first coordinate and tests a window there:
-        # draw points on both sides of its wrap, ties in it, and planted
-        # near-duplicates from 1e-12 to 1e-3 apart, at tolerances from
-        # 1e-12 to 0.45
+        # the check sorts the projection p = (x + 3 y + 7 z) mod 1 and tests
+        # a window there: draw points on a line p does not see, on both
+        # sides of the wrap of p and of the first axis, ties in either, and
+        # planted near-duplicates from 1e-12 to 1e-3 apart, at tolerances
+        # from 1e-12 to 0.45
         rng = np.random.default_rng(seed)
         pts = rng.random((m, n))
+        weights = np.array([1.0, 3.0, 7.0])[:n]
+
+        def put_p(rows, p):
+            # first coordinates giving these rows the projection p
+            pts[rows, 0] = (p - pts[rows, 1:3] @ weights[1:]) % 1.0
+
+        if kind in ("line", "all") and n > 1:
+            # w . (1, 2, -1) = 0 and w . (3, -1) = 0
+            direction = np.zeros(n)
+            direction[:3] = (1.0, 2.0, -1.0) if n > 2 else (3.0, -1.0)
+            pts = pts[0] + rng.random((m, 1)) * direction
         if kind in ("wrap", "all"):
             side = rng.random(m) < 0.4
             pts[side, 0] = rng.choice([0.0, 1.0 - 1e-12], int(side.sum()))
         if kind in ("ties", "all"):
             pts[:, 0] = rng.choice(pts[: max(1, m // 8), 0], m)
+        if kind in ("p-wrap", "all"):
+            side = rng.random(m) < 0.4
+            put_p(side, rng.choice([0.0, 1.0 - 1e-12], m)[side])
+        if kind in ("p-ties", "all"):
+            put_p(slice(None), rng.choice(rng.random(max(1, m // 8)), m))
         if kind in ("near", "all"):
             for _ in range(int(rng.integers(1, 4))):
                 i, j = rng.choice(m, 2, replace=False)
@@ -413,6 +430,47 @@ class TestMotif:
                 step *= 10.0 ** rng.uniform(-12, -3) / np.linalg.norm(step)
                 pts[j] = pts[i] + step + rng.integers(-1, 2, n)
         self.assert_first_pair(pts, 10.0**log_tol)
+
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 4),
+        st.floats(-12.0, math.log10(0.45)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coincident_pairs_are_every_pair_once_by_later_row(
+        self, m, n, log_tol, seed
+    ):
+        # grid points plus noise: at the wide tolerances the window spans
+        # more than half a turn, so a pair is a candidate from both ends
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(0, 4, (m, n)) / 4
+        pts = wrap_fractional(grid + rng.normal(0, 0.01, (m, n)))
+        tol = 10.0**log_tol
+        near = row_norms(wrapped_delta(pts[:, None], pts[None])) < tol
+        expected = [(i, j) for j in range(m) for i in range(j) if near[i, j]]
+        i, j = geometry.coincident_pairs(pts, tol)
+        assert list(zip(i.tolist(), j.tolist())) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pair_along_the_weights_is_found(self, n):
+        # a difference along w = (1, 3, 7) moves p by |w| times its norm,
+        # the most a pair within tol can: the window must reach that far
+        w = np.array([1.0, 3.0, 7.0])[:n]
+        step = np.zeros(n)
+        step[: len(w)] = w / np.linalg.norm(w)
+        for tol in (1e-8, 1e-3, 0.05):
+            pts = np.array([np.full(n, 0.3), 0.3 + 0.999 * tol * step])
+            assert geometry.coincident_pairs(pts, tol)[1].tolist() == [1]
+            pts[1] = 0.3 + 1.001 * tol * step
+            assert geometry.coincident_pairs(pts, tol)[1].tolist() == []
+
+    def test_pair_whose_squares_underflow_is_found(self):
+        # 1e-170 squared underflows to 0, so the exact test accepts this
+        # pair at tol 1e-175, though it is 1e-170 apart on p: only the
+        # window's slack covers it
+        with pytest.raises(ValueError, match="motif points 0 and 1 "):
+            Motif([[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0]], dedup_tol=1e-175)
 
     def test_coincidence_across_the_wrap_of_the_sorted_axis(self):
         pts = [[0.3, 0.5], [0.0, 0.25], [0.7, 0.5], [1.0 - 1e-12, 0.25]]

@@ -22,8 +22,9 @@ from bridgelen import (
     to_periodic_set,
     write_json_set,
 )
-from bridgelen.geometry import wrap_fractional, wrapped_delta
-from bridgelen.ingest import _MERGE_BLOCK, _tokenize, parse_symmetry_op
+from bridgelen import geometry
+from bridgelen.geometry import row_norms, wrap_fractional, wrapped_delta
+from bridgelen.ingest import _tokenize, parse_symmetry_op
 
 from conftest import make_set, random_set
 
@@ -70,7 +71,8 @@ def cif_text(a=1.0, b=1.0, c=1.0, alpha=90.0, beta=90.0, gamma=90.0,
 
 
 def reference_tokenize(text: str):
-    """Oracle: the character scanner the token grammar replaced, verbatim.
+    """Oracle: the character scanner the token grammar replaced, with the
+    rest of the line that closes a ';' text field scanned for tokens.
     List of (value, line_number, was_quoted) tokens, in file order."""
     tokens = []
     lines = text.splitlines()
@@ -88,8 +90,9 @@ def reference_tokenize(text: str):
             if idx >= len(lines):
                 raise ParseError("unterminated ';' text field", lineno)
             tokens.append(("\n".join(field), lineno, True))
-            idx += 1
-            continue
+            # the rest of the closing line is scanned as any line
+            line = lines[idx][1:]
+            lineno = idx + 1
         pos = 0
         end = len(line)
         while pos < end:
@@ -185,6 +188,18 @@ class TestTokenize:
             ("", 7, True),
         ]
 
+    def test_tokens_may_follow_a_closing_semicolon(self):
+        # CIF 1.1 ends a text field at the ';' opening its closing line
+        assert _tokenize(";a\nb\n; c d\ne") == [
+            ("a\nb", 1, True),
+            ("c", 3, False),
+            ("d", 3, False),
+            ("e", 4, False),
+        ]
+        with pytest.raises(ParseError) as err:
+            _tokenize(";a\n;'b\n")
+        assert err.value.line == 2
+
     def test_crlf_gives_the_same_tokens_as_lf(self):
         for text in (TOKEN_SAMPLE, CUBE_CIF):
             assert _tokenize(text.replace("\n", "\r\n")) == _tokenize(text)
@@ -245,6 +260,28 @@ class TestParseCif:
     def test_symmetry_loop_extracted(self):
         doc = parse_cif(cif_text(ops=("x, y, z", "x+1/2, y+1/2, z+1/2")))
         assert doc.symmetry_ops == ("x, y, z", "x+1/2, y+1/2, z+1/2")
+
+    def test_symmetry_operation_after_a_closing_semicolon(self):
+        text = cif_text().replace(
+            "loop_\n_atom_site_label",
+            "loop_\n_symmetry_equiv_pos_as_xyz\n;\nx,y,z\n; -x,-y,-z\n"
+            "loop_\n_atom_site_label",
+        )
+        assert parse_cif(text).symmetry_ops == ("\nx,y,z", "-x,-y,-z")
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("C1 0 0 0", "C1 0 1e999 0", 13),
+            ("C1 0 0 0", "C1 0 0 -1e999", 13),
+            ("_cell_length_c 1.0", "_cell_length_c 1e999", 4),
+        ],
+    )
+    def test_number_beyond_the_float_range_has_line(self, old, new, line):
+        # an infinite site would reach the merge and Motif with no line
+        message = f"line {line}: number .* is beyond the floating-point range"
+        with pytest.raises(ParseError, match=message):
+            parse_cif(CUBE_CIF.replace(old, new))
 
     def test_ignores_unknown_tags_and_text_fields(self):
         text = CUBE_CIF + "\n_chemical_name_common 'table salt'\n_notes\n;\nfree text\nwith lines\n;\n"
@@ -505,7 +542,7 @@ class TestToPeriodicSet:
         ops = ("x, y, z", "-x, -y, -z", "x+1/2, y+1/2, z+1/2", "-x+1/2, -y+1/2, -z+1/2")
         rng = np.random.default_rng(73)
         tol = 0.05
-        for sites_per_doc in (6, 2 * _MERGE_BLOCK // len(ops) + 3):
+        for sites_per_doc in (6, 2 * 64 // len(ops) + 3):
             for _ in range(100 if sites_per_doc == 6 else 20):
                 grid = rng.integers(0, 8, (sites_per_doc, 3)) / 8
                 grid = grid + rng.normal(0, 0.02, grid.shape)
@@ -517,7 +554,7 @@ class TestToPeriodicSet:
         # apart across it: the greedy merge keeps every other link
         tol = 0.01
         step = 0.6 * tol
-        lead = _MERGE_BLOCK - 3
+        lead = 64 - 3
         isolated = [((i % 8 + 0.5) / 8, (i // 8 % 8 + 0.5) / 8, 0.5) for i in range(lead)]
         chain = [(0.01 + k * step, 0.01, 0.01) for k in range(9)]
         doc = parse_cif(cif_text(sites=isolated + chain, ops=("x, y, z",)))
@@ -535,6 +572,55 @@ class TestToPeriodicSet:
             assert assert_greedy_merge(doc, 1e-3).motif_size == orbit
         doc = parse_cif(cif_text(sites=sites, ops=ops))
         assert assert_greedy_merge(doc, 1e-3).motif_size == 32 + 24 + 8 + 4
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["x00", "xxx", "x-x0"]),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(1, 3),
+                st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.sampled_from([1e-3, 1e-2, 5e-2]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_merge_matches_reference_on_special_positions(self, groups, tol, centred):
+        # sites on the lines (x, 0, 0), (x, x, x) and (x, -x, 0) of m-3m or
+        # Fm-3m, whose images repeat; each group is 1 to 3 sites along its
+        # line, `gap` tol apart: duplicates at 0, near-duplicates at 0.3,
+        # chains at 0.6 and 0.9
+        ops = fm3m_ops() if centred else fm3m_ops()[::4]
+        lines = {
+            "x00": (1.0, 0.0, 0.0),
+            "xxx": (1.0, 1.0, 1.0),
+            "x-x0": (1.0, -1.0, 0.0),
+        }
+        sites = []
+        for line, x, count, gap in groups:
+            direction = np.array(lines[line])
+            step = gap * tol / np.linalg.norm(direction)
+            sites += [tuple((x + k * step) * direction) for k in range(count)]
+        assert_greedy_merge(parse_cif(cif_text(sites=sites, ops=ops)), tol)
+
+    def test_merge_tests_few_rows_on_sites_sharing_coordinates(self, monkeypatch):
+        # 40 sites (x, 0, 0) under Fm-3m give 7 680 images, mostly sharing
+        # two coordinates: the search must not test near all pairs there
+        rows = []
+
+        def counting_row_norms(a):
+            rows.append(len(np.atleast_2d(a)))
+            return row_norms(a)
+
+        rng = np.random.default_rng(74)
+        sites = [(float(x), 0.0, 0.0) for x in rng.random(40)]
+        doc = parse_cif(cif_text(sites=sites, ops=fm3m_ops()))
+        monkeypatch.setattr(geometry, "row_norms", counting_row_norms)
+        to_periodic_set(doc)
+        assert 0 < sum(rows) <= 1_000_000
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3, float("inf")])
     def test_rejects_bad_tolerance(self, tol, tmp_path):
