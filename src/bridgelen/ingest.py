@@ -245,7 +245,9 @@ def parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float
     immutable tuples: the integer matrix rows and the float translation.
 
     Grammar: three comma-separated components, each a signed sum of x/y/z
-    terms and rational (p/q) or decimal constants.  The integer matrix must
+    terms and rational (p/q) or decimal constants.  Whitespace of any kind
+    (tabs, and the line breaks a ``;`` text field keeps) is dropped from
+    each component before it is read.  The integer matrix must
     have determinant +1 or -1, computed exactly: a singular one such as
     ``"x, x, z"`` maps the cell onto a plane and puts points in no orbit.
     The parse is cached per string; an exception is never cached, so a bad
@@ -257,7 +259,7 @@ def parse_symmetry_op(op: str) -> tuple[tuple[tuple[int, ...], ...], tuple[float
     mat = [[0, 0, 0] for _ in range(3)]
     trans = [0.0, 0.0, 0.0]
     for r, comp in enumerate(parts):
-        s = comp.replace(" ", "").lower()
+        s = "".join(comp.split()).lower()
         if not _COMPONENT_RE.fullmatch(s):
             raise SymOpError(f"cannot parse component {comp!r} of {op!r}")
         for sign_txt, term in _TERM_RE.findall(s):

@@ -48,18 +48,20 @@ def test_tracer_resolves_and_counts_every_traced_name(tracing, fixtures_dir):
 
 @pytest.mark.parametrize(
     "name, shells, yielded, generated",
-    [("fig3", 2, 3, 7), ("bcc", 2, 5, 14), ("slab", 2, 41, 302)],
+    [("fig3", 2, 3, 7), ("bcc", 2, 5, 14), ("slab", 2, 41, 215)],
 )
 def test_edge_counters_are_pinned(
     tracing, fig3_set, bcc, name, shells, yielded, generated
 ):
     # ``edges.generated`` is yielded + len(pending) after the run: the
     # buffer keeps every candidate up to the working horizon, in every
-    # shell built, and no candidate beyond it.  The slab's builds are
-    # those of its reduced cell (aspect 6.65 -> 6.25), where they held 302
-    # candidates up to the horizon and the input cell's held 299; its
-    # extents scale with the heights, so one build (2 shells) reaches its
-    # bridge length where three L-infinity shells did
+    # shell built, and no candidate beyond it, so this count follows the
+    # horizon's start.  The slab's builds are those of its reduced cell
+    # (aspect 6.65 -> 6.25), whose thin axis collapses: its horizon starts
+    # at 1.6 times the in-plane spacing, 2.56, and its one build holds 215
+    # candidates up to it (302 when the start was twice the cube edge,
+    # 2.87).  Its extents scale with the heights, so one build (2 shells)
+    # reaches its bridge length where three L-infinity shells did
     pset = {"fig3": fig3_set, "bcc": bcc, "slab": slab_19()}[name]
     tracer = tracing.Tracer()
     tracer.install()

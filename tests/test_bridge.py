@@ -343,12 +343,13 @@ class TestShearedBccLadder:
     reach; in the input cell reach 150 took 131 shells and 476 845 rows,
     and reach 1000 would take hundreds of shells.  The rows are counted as
     ``_shell_blocks`` yields them, since a range of one translation skips
-    ``_decode``: 54, the 52 rows decoded when shells 0 and 1 were built
-    apart plus the two zero vectors shell 0 built without a decode."""
+    ``_decode``.  The pair boxes, and so the rows, follow the working
+    horizon's start, 1.6 times BCC's spacing: 35 rows (54 when it started
+    at twice the same spacing)."""
 
     @pytest.mark.parametrize(
         "reach, shells, rows",
-        [(10, 2, 54), (30, 2, 54), (70, 2, 54), (150, 2, 54), (1000, 2, 54)],
+        [(10, 2, 35), (30, 2, 35), (70, 2, 35), (150, 2, 35), (1000, 2, 35)],
     )
     def test_beta_shells_and_built_rows(self, monkeypatch, reach, shells, rows):
         built = []

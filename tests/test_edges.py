@@ -3,6 +3,7 @@
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -630,6 +631,34 @@ FCC = cubic_set([[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0.5]])
 CUBE_8 = cubic_set(list(itertools.product([0.0, 0.5], repeat=3)))
 
 
+class TestSpacing:
+    """The working horizon starts at a multiple of the motif's spacing,
+    the cube edge (vol / m)^(1/n) over the axes thicker than it."""
+
+    @pytest.mark.parametrize(
+        "heights, m, spacing",
+        [
+            ((2.0, 2.0, 2.0), 1, 2.0),  # one point: the cell's edge
+            ((2.0, 2.0, 2.0), 8, 1.0),  # a cube: (vol / m)^(1/3)
+            ((10.0, 10.0, 1.0), 4, 5.0),  # a slab: 25^(1/2), not 25^(1/3)
+            ((1.0, 1.0, 12.0), 3, 4.0),  # a needle: 4 / 1, not 4^(1/3)
+            ((6.0,), 3, 2.0),  # 1-D: the length over m
+        ],
+    )
+    def test_exact_values(self, heights, m, spacing):
+        # a rectangular cell, its volume the product of its heights, given
+        # exactly: cell_metrics rounds them by an ulp or two
+        cell = SimpleNamespace(vol=math.prod(heights), heights=heights)
+        assert edges_module._spacing(cell, m) == spacing
+
+    def test_the_stream_starts_at_the_collapsed_spacing(self):
+        rng = np.random.default_rng(51)
+        gen = EdgeGenerator(make_set(np.diag([10.0, 10.0, 1.0]), rng.random((4, 3))))
+        start = edges_module._START_FACTOR
+        assert gen._horizon == start * edges_module._spacing(gen._cell, 4)
+        assert gen._horizon == pytest.approx(start * 5.0, rel=1e-15)
+
+
 class TestWorkingHorizon:
     """The working horizon grows in bands; the stream must not show it."""
 
@@ -640,12 +669,17 @@ class TestWorkingHorizon:
             n = int(rng.integers(1, 4))
             cases.append(random_set(rng, n=n, m=int(rng.integers(1, 13))))
             cases.append(symmetric_set(rng, n))
+        # slabs and needles, whose spacing collapses the thin axes
+        thin = np.random.default_rng(50)
+        for _ in range(8):
+            n = int(thin.integers(2, 4))
+            cases.append(thin_set(thin, n, int(thin.integers(1, 7)), ratio=12.0))
         return cases
 
     def test_many_bands_yield_the_single_band_stream(self, monkeypatch):
-        # a start of 1e-3 (vol/m)^(1/n) crosses ten bands before the first
-        # edge; an infinite start is one band up to max_length.  Edge for
-        # edge, and shell for shell before each edge, the streams agree
+        # a start of 1e-3 times the spacing crosses ten bands before the
+        # first edge; an infinite start is one band up to max_length.  Edge
+        # for edge, and shell for shell before each edge, the streams agree
         cases = self.band_cases()
         streams = {}
         for start in (1e-3, math.inf):
@@ -674,9 +708,11 @@ class TestWorkingHorizon:
             )
 
     def test_edges_exactly_at_band_edges(self, monkeypatch, z2):
-        # with a start of 2^-10 the bands of Z^2 end at exactly 1, 2 and 4,
-        # where edges lie: (lo, hi] must keep each in one band
+        # with a start of 2^-10 and a growth of 2 the bands of Z^2 end at
+        # exactly 1, 2 and 4, where edges lie: (lo, hi] must keep each in
+        # one band
         monkeypatch.setattr(edges_module, "_START_FACTOR", 2.0**-10)
+        monkeypatch.setattr(edges_module, "_GROWTH_FACTOR", 2.0)
         gen = EdgeGenerator(z2, max_length=4.0)
         got = [(e.length, e.source, e.dest, e.translation) for e in gen]
         assert gen._horizon == 4.0
@@ -698,10 +734,10 @@ class TestWorkingHorizon:
 
     def test_a_growth_is_one_build(self, monkeypatch):
         # each growth rescans the box of the last build in one call,
-        # _collect(None, e(L), H_old, H_new).  slab_19 with a start of a
-        # quarter of the default grows four times after its first build,
-        # whose box, scaled by the reduced cell's heights, is (6, 1, 1)
-        # cells (2, 3, 4 and 6 shells built when every build was a cube)
+        # _collect(None, e(L), H_old, H_new).  slab_19 with a start of half
+        # its spacing grows four times after its first build, whose box,
+        # scaled by the reduced cell's heights, is (6, 1, 1) cells (2, 3, 4
+        # and 6 shells built when every build was a cube)
         monkeypatch.setattr(edges_module, "_START_FACTOR", 0.5)
         gen = EdgeGenerator(slab_19())
         collect, calls = gen._collect, []
@@ -860,7 +896,9 @@ class TestPairBoxes:
             checked_stream(thin_set(rng, n, int(rng.integers(1, 7)), ratio=15.0))
 
     def test_z2_edges_at_band_ends(self, monkeypatch, z2):
+        # bands ending at exactly 1, 2 and 4, as in TestWorkingHorizon
         monkeypatch.setattr(edges_module, "_START_FACTOR", 2.0**-10)
+        monkeypatch.setattr(edges_module, "_GROWTH_FACTOR", 2.0)
         bands = checked_stream(z2, max_length=4.0)
         assert {1.0, 2.0, 4.0} <= {hi for _, hi in bands}
 
@@ -911,6 +949,30 @@ class TestWorkBound:
         take(gen, 2000)
         assert computed[0] <= 4 * (2000 + len(gen.pending))
 
+    @pytest.mark.parametrize(
+        "workload, rows, rescans",
+        [("dense-motif", 131849, 3), ("many-cells", 83843, 5), ("cif-batch", 274353, 33)],
+    )
+    def test_seed_101_rows_and_rescans(
+        self, monkeypatch, computed, bench_corpus, workload, rows, rescans
+    ):
+        # over one pass of the corpus: the rows decoded, each given one
+        # length, and the growths of the working horizon.  Both follow the
+        # horizon's start: with twice the cube edge they were 224 077, 86 896
+        # and 316 885 rows, and 0, 9 and 9 rescans
+        bands = []
+
+        class Recording(EdgeGenerator):
+            def _collect(self, inner, outer, lo, hi):
+                bands.append(lo)
+                return super()._collect(inner, outer, lo, hi)
+
+        monkeypatch.setattr(bridge_module, "EdgeGenerator", Recording)
+        for case in bench_corpus.make(workload, 101):
+            bridge_length(corpus_set(case, workload))
+        assert computed[0] == rows
+        assert sum(lo > -math.inf for lo in bands) == rescans
+
 
 class TestExtremeHorizons:
     """Huge or infinite horizons give finite int32 boxes and no float
@@ -942,6 +1004,13 @@ def bench_corpus(monkeypatch):
     import corpus
 
     return corpus
+
+
+def corpus_set(case, workload: str) -> PeriodicSet:
+    """The periodic set of one benchmark corpus case."""
+    if workload == "cif-batch":
+        return to_periodic_set(parse_cif(case.text))
+    return make_set(case.basis, case.frac)
 
 
 @pytest.fixture
@@ -1241,11 +1310,7 @@ class TestHeightScaledBuilds:
 
         monkeypatch.setattr(bridge_module, "EdgeGenerator", Recording)
         for case in bench_corpus.make(workload, 101):
-            if workload == "cif-batch":
-                pset = to_periodic_set(parse_cif(case.text))
-            else:
-                pset = make_set(case.basis, case.frac)
-            report = bridge_length(pset)
+            report = bridge_length(corpus_set(case, workload))
             cell = streams[-1]._cell
             shells = report.shells_enumerated
             assert shells <= build_count_bound(report.beta, cell.heights), case.name

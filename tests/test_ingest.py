@@ -262,12 +262,16 @@ class TestParseCif:
         assert doc.symmetry_ops == ("x, y, z", "x+1/2, y+1/2, z+1/2")
 
     def test_symmetry_operation_after_a_closing_semicolon(self):
-        text = cif_text().replace(
+        text = cif_text(sites=((0.1, 0.2, 0.3),)).replace(
             "loop_\n_atom_site_label",
             "loop_\n_symmetry_equiv_pos_as_xyz\n;\nx,y,z\n; -x,-y,-z\n"
             "loop_\n_atom_site_label",
         )
-        assert parse_cif(text).symmetry_ops == ("\nx,y,z", "-x,-y,-z")
+        doc = parse_cif(text)
+        assert doc.symmetry_ops == ("\nx,y,z", "-x,-y,-z")
+        # both operations expand: the text field's line break is whitespace
+        points = to_periodic_set(doc).motif.points
+        assert points == pytest.approx(np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]]))
 
     @pytest.mark.parametrize(
         "old, new, line",
@@ -467,11 +471,18 @@ class TestSymmetryOpGrammar:
     @pytest.mark.parametrize(
         "op",
         ["x, , z", "x, y, z+", "x, y, +", "x, y, zx", "x, y, 1/2z", "x, y, z 1",
-         "x, y, 1.", "x, y, .", "x, y, 1/", "x, y, --z", "x, y, z\t"],
+         "x, y, 1.", "x, y, .", "x, y, 1/", "x, y, --z", "x, y, z\t1"],
     )
     def test_rejects_a_component_outside_the_grammar(self, op):
         with pytest.raises(SymOpError, match=r"cannot parse component"):
             parse_symmetry_op(op)
+
+    @pytest.mark.parametrize("op", ["x,\ty,z", "x, y ,z\n", "\nx,y,z"])
+    def test_drops_any_whitespace(self, op):
+        # tabs, trailing line breaks and the line break a ';' text field
+        # keeps after its opening ';' are whitespace like spaces
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert parse_symmetry_op(op) == (identity, (0.0, 0.0, 0.0))
 
 
 def assert_greedy_merge(doc, tol):
