@@ -112,11 +112,16 @@ def mst_longest_edge(points) -> float:
     All MSTs of a point set share the same longest-edge length (it is the
     connectivity threshold of the finite set), so any tree may be built;
     this is Prim's algorithm on the dense distance matrix.  A single point
-    yields 0.
+    yields 0.  ``points`` is a 1-D array of reals or a 2-D array with one
+    point per row; other shapes and non-finite coordinates raise ValueError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise EmptyInput("no points given")
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"points must be a 1-D or 2-D array, not {pts.ndim}-D")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must have finite coordinates")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     npts = pts.shape[0]

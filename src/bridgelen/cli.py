@@ -2,20 +2,22 @@
 
 ``compute FILE`` prints one CSV row (or a full JSON report with --json);
 ``batch DIR`` prints one CSV row per .cif/.json file in the directory, in a
-deterministic order.  ``--jobs N`` runs N threads in one interpreter; they
-share its lock, so CPU-bound files do not run in parallel.  Exit codes: 0
-ok, 1 parse/read error, 2 degenerate cell or usage error (a bad option
-value, such as a --tol that is not a finite number > 0), 3 verification
-mismatch, 4 oracle inconclusive.
+deterministic order.  ``--jobs N`` runs at most N threads, and never more
+than there are files or CPUs, in one interpreter; they share its lock, so
+CPU-bound files do not run in parallel.  Exit codes: 0 ok, 1 parse/read
+error, 2 degenerate cell or usage error (a bad option value, such as a
+--tol that is not a finite number > 0), 3 verification mismatch, 4 oracle
+inconclusive.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import click
@@ -28,41 +30,34 @@ from .oracle import oracle_bridge_length
 
 VERIFY_REL_TOL = 1e-9
 
+# a table row is a dict with these keys, in this order (the CSV columns and
+# the keys of each ``batch --json`` row)
 _CSV_HEADER = ("id", "atoms", "beta", "r_upper", "ratio", "basis_size", "ms", "error")
 
 
-@dataclass
-class ReportRow:
-    """One output row of the CSV table."""
-
-    id: str
-    atoms: int
-    beta: float
-    r_upper: float
-    ratio: float
-    basis_size: int
-    ms: float
-    error: str = ""
-
-
-def _compute_one(path, fmt, expand_symmetry, tol) -> tuple[str, int, BridgeReport]:
-    pset, ident = read_set_file(
-        path, fmt=fmt, expand_symmetry=expand_symmetry, dedup_tol=tol
+def _row(ident: str, atoms: int, report: BridgeReport) -> dict:
+    values = (
+        ident,
+        atoms,
+        report.beta,
+        report.r_upper,
+        report.r_upper / report.beta,
+        report.translational_basis_size,
+        report.elapsed * 1000.0,
+        "",
     )
-    report = bridge_length(pset)
-    return ident, pset.motif_size, report
+    return dict(zip(_CSV_HEADER, values))
 
 
-def _row_from(ident: str, atoms: int, report: BridgeReport) -> ReportRow:
-    return ReportRow(
-        id=ident,
-        atoms=atoms,
-        beta=report.beta,
-        r_upper=report.r_upper,
-        ratio=report.r_upper / report.beta,
-        basis_size=report.translational_basis_size,
-        ms=report.elapsed * 1000.0,
-    )
+def _file_row(path: Path, fmt, expand_symmetry: bool, tol: float) -> dict:
+    """The table row of one file; a failure gives an error row instead."""
+    try:
+        pset, ident = read_set_file(
+            path, fmt=fmt, expand_symmetry=expand_symmetry, dedup_tol=tol
+        )
+        return _row(ident, pset.motif_size, bridge_length(pset))
+    except Exception as exc:
+        return dict(zip(_CSV_HEADER, (path.stem, 0, 0.0, 0.0, 0.0, 0, 0.0, str(exc))))
 
 
 def _edge_dict(edge) -> dict:
@@ -97,24 +92,14 @@ def _report_dict(ident: str, atoms: int, report: BridgeReport) -> dict:
 
 
 def _write_rows(rows, precision: int) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(_CSV_HEADER)
+    writer = csv.DictWriter(sys.stdout, _CSV_HEADER)
+    writer.writeheader()
     for r in rows:
-        if r.error:
-            writer.writerow([r.id, "", "", "", "", "", "", r.error])
+        if r["error"]:  # an error row leaves every other column empty
+            writer.writerow({"id": r["id"], "error": r["error"]})
         else:
-            writer.writerow(
-                [
-                    r.id,
-                    r.atoms,
-                    f"{r.beta:.{precision}f}",
-                    f"{r.r_upper:.{precision}f}",
-                    f"{r.ratio:.{precision}f}",
-                    r.basis_size,
-                    f"{r.ms:.3f}",
-                    "",
-                ]
-            )
+            lengths = {k: f"{r[k]:.{precision}f}" for k in ("beta", "r_upper", "ratio")}
+            writer.writerow({**r, **lengths, "ms": f"{r['ms']:.3f}"})
 
 
 _format_option = click.option(
@@ -198,7 +183,7 @@ def compute(path, as_json, verify, fmt, no_symmetry, tol, precision):
             payload["oracle_beta"] = oracle_beta
         click.echo(json.dumps(payload))
     else:
-        _write_rows([_row_from(ident, pset.motif_size, report)], precision)
+        _write_rows([_row(ident, pset.motif_size, report)], precision)
 
     if oracle_beta is not None:
         if abs(report.beta - oracle_beta) > VERIFY_REL_TOL * max(
@@ -222,8 +207,8 @@ def compute(path, as_json, verify, fmt, no_symmetry, tol, precision):
     type=click.IntRange(min=1),
     default=1,
     show_default=True,
-    help="Threads to process files with; they share one interpreter lock, "
-    "so CPU-bound files do not run in parallel.",
+    help="Threads to process files with, at most one per file and per CPU; "
+    "they share one interpreter lock, so CPU-bound files do not run in parallel.",
 )
 @_format_option
 @_symmetry_option
@@ -244,37 +229,23 @@ def batch(directory, as_json, jobs, fmt, no_symmetry, tol, precision):
         click.echo(f"error: no .cif or .json files in {directory}", err=True)
         sys.exit(1)
 
-    def work(p: Path) -> ReportRow:
-        try:
-            ident, atoms, report = _compute_one(p, fmt, not no_symmetry, tol)
-            return _row_from(ident, atoms, report)
-        except Exception as exc:
-            return ReportRow(
-                id=p.stem, atoms=0, beta=0.0, r_upper=0.0, ratio=0.0,
-                basis_size=0, ms=0.0, error=str(exc),
-            )
+    work = partial(_file_row, fmt=fmt, expand_symmetry=not no_symmetry, tol=tol)
+    workers = min(jobs, len(files), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = sorted(pool.map(work, files), key=lambda r: r["id"])
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(work, files))
-    else:
-        rows = [work(p) for p in files]
-    rows.sort(key=lambda r: r.id)
-
+    ok = [r["beta"] for r in rows if not r["error"]]
+    mean = sum(ok) / len(ok) if ok else None
     if as_json:
-        payload = {"rows": [asdict(r) for r in rows]}
-        ok = [r.beta for r in rows if not r.error]
+        payload = {"rows": rows}
         if ok:
-            payload["mean_beta"] = sum(ok) / len(ok)
+            payload["mean_beta"] = mean
         click.echo(json.dumps(payload))
     else:
         _write_rows(rows, precision)
-        ok = [r.beta for r in rows if not r.error]
         if ok:
             click.echo(
-                f"mean beta over {len(ok)} ok files: "
-                f"{sum(ok) / len(ok):.{precision}f}",
-                err=True,
+                f"mean beta over {len(ok)} ok files: {mean:.{precision}f}", err=True
             )
 
 

@@ -75,7 +75,11 @@ class QuotientState:
         return len(self._members) == 1
 
     def classify_edge(self, e: CandidateEdge) -> EdgeOutcome:
-        """Join source and dest for a forest edge, else report the cycle sum."""
+        """Join source and dest for a forest edge, else report the cycle sum.
+
+        A join refuses a translation whose length is not n with ValueError,
+        leaving the state unchanged.
+        """
         if not (0 <= e.source < self.m and 0 <= e.dest < self.m):
             raise IndexError("edge endpoint out of range")
         rs, rd = self._root[e.source], self._root[e.dest]
@@ -89,6 +93,11 @@ class QuotientState:
             if not any(c):
                 return ZERO_CYCLE
             return EdgeOutcome(kind="cycle", cycle_sum=c)
+        # checked on a join only (m - 1 per structure, not one per edge): zip
+        # cut c to the shorter length, and a stored offset must have n entries;
+        # a nonzero cycle sum of the wrong length is refused by OnlineSnfState.add
+        if len(e.translation) != self.n:
+            raise ValueError(f"translation of length {len(e.translation)} in {self.n}-D")
         # relabel the smaller side so that offset(source) - offset(dest) == v
         if len(self._members[rs]) >= len(self._members[rd]):
             keep, gone, shift = rs, rd, c

@@ -1,6 +1,7 @@
 """Tests for the bridge-length driver, its bounds and invariances."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bridgelen import (
     in_span,
     mst_longest_edge,
     oracle_bridge_length,
+    parse_json_set,
     spans_lattice,
 )
 
@@ -83,6 +85,91 @@ class TestExactValues:
             for f in fig2_set.motif.points
         ]
         assert mst_longest_edge(pts) == pytest.approx(3.0, abs=1e-9)
+
+
+def shifted(sites, d):
+    return [[(x + dx) % 1 for x, dx in zip(site, d)] for site in sites]
+
+
+def cubic_cell(sites) -> str:
+    """JSON text of the cubic cell with a = 1 and the given fractional sites."""
+    basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    return json.dumps({"dim": 3, "basis": basis, "motif_fractional": sites})
+
+
+def hexagonal_cell(sites, a: float, c: float | None = None) -> str:
+    """JSON text of the hexagonal cell (120 degrees between a and b); 2-D
+    without c."""
+    basis = [[a, 0.0], [-a / 2, a * math.sqrt(3) / 2]]
+    if c is not None:
+        basis = [row + [0.0] for row in basis] + [[0.0, 0.0, c]]
+    return json.dumps({"dim": len(basis), "basis": basis, "motif_fractional": sites})
+
+
+FCC = [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+THIRD = 1 / 3
+HEX_2B_2C = [[0.0, 0.0, 0.25], [0.0, 0.0, 0.75], [THIRD, 2 * THIRD, 0.25], [2 * THIRD, THIRD, 0.75]]
+
+# Conventional cells, a = 1 unless given.  No edge is shorter than the
+# shortest interpoint distance, so beta is at least that; when the bonds of
+# that length join every point, beta equals it.  Each entry: JSON set,
+# closed-form beta, motif size (Z x sites), and how many ulps the computed
+# beta lies above the rounded closed form (the float lengths round; the
+# offsets move with a).
+TEXTBOOK = [
+    # diamond, Fd-3m 8a: each atom has four bonds of a*sqrt(3)/4 (a quarter
+    # body diagonal), the shortest distance, and the bonds join the crystal
+    pytest.param(
+        cubic_cell(FCC + shifted(FCC, (0.25, 0.25, 0.25))), math.sqrt(3) / 4, 8, 0,
+        id="diamond",
+    ),
+    # rock salt, Fm-3m 4a + 4b: the ions together form a simple cubic
+    # lattice of spacing a/2, joined by its cation-anion bonds
+    pytest.param(cubic_cell(FCC + shifted(FCC, (0.5, 0.0, 0.0))), 0.5, 8, 0, id="rock-salt"),
+    # CsCl, Pm-3m 1a + 1b: the cation-anion bonds of a*sqrt(3)/2 are the
+    # nearest-neighbour bonds of the body-centred lattice, which they join;
+    # like ions are a apart
+    pytest.param(cubic_cell([[0.0] * 3, [0.5] * 3]), math.sqrt(3) / 2, 2, 0, id="CsCl"),
+    # fluorite, Fm-3m 4a + 8c: the cation-anion bond a*sqrt(3)/4 is shorter
+    # than anion-anion (a/2) and cation-cation (a/sqrt(2)); two face-centred
+    # neighbour cations share an anion, so these bonds join the crystal
+    pytest.param(
+        cubic_cell(FCC + shifted(FCC, (0.25,) * 3) + shifted(FCC, (0.75,) * 3)),
+        math.sqrt(3) / 4, 12, 0, id="fluorite",
+    ),
+    # cubic perovskite ABO3, Pm-3m 1a + 1b + 3c: B-O bonds of a/2 join the
+    # octahedral framework, but the corner A ion's nearest neighbours are
+    # the face-centre O ions at a/sqrt(2), so it joins only there
+    pytest.param(
+        cubic_cell([[0.0] * 3, [0.5] * 3, [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
+        1 / math.sqrt(2), 5, 1, id="perovskite",
+    ),
+    # ideal hcp, P6_3/mmc 2c with c/a = sqrt(8/3): all twelve neighbours lie
+    # at a, six in the plane and three in each adjacent layer, so these
+    # bonds join every layer and the layers to each other
+    pytest.param(hexagonal_cell(HEX_2B_2C[2:], 1.0, math.sqrt(8 / 3)), 1.0, 2, 0, id="hcp"),
+    # honeycomb, p6mm 2b: each point has three bonds of a/sqrt(3), the
+    # shortest distance, and they join the net
+    pytest.param(
+        hexagonal_cell([[THIRD, 2 * THIRD], [2 * THIRD, THIRD]], 1.0),
+        1 / math.sqrt(3), 2, -1, id="honeycomb",
+    ),
+    # Bernal (AB) graphite, P6_3/mmc 2b + 2c, a = 2.464, c = 6.711: bonds of
+    # a/sqrt(3) join each sheet; the sheets lie c/2 apart, so every path
+    # between sheets has an edge of at least c/2, and the 2b atoms sit
+    # exactly above one another at c/2
+    pytest.param(hexagonal_cell(HEX_2B_2C, 2.464, 6.711), 6.711 / 2, 4, 1, id="graphite"),
+]
+
+
+class TestTextbookCrystals:
+    @pytest.mark.parametrize("text, beta, m, ulps", TEXTBOOK)
+    def test_beta_is_the_closed_form_and_the_oracle_agrees(self, text, beta, m, ulps):
+        pset = parse_json_set(text)
+        assert pset.motif_size == m
+        computed = bridge_length(pset).beta
+        assert computed == beta + ulps * math.ulp(beta)
+        assert oracle_bridge_length(pset) == pytest.approx(computed, rel=1e-9)
 
 
 class TestReportShape:
@@ -378,6 +465,18 @@ class TestMstLongestEdge:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             mst_longest_edge([])
+
+    @pytest.mark.parametrize(
+        "points", [[[0.0, 0.0], [math.nan, 1.0], [1.0, 1.0]], [[0.0], [math.inf]]]
+    )
+    def test_non_finite_coordinates_rejected(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            mst_longest_edge(points)
+
+    @pytest.mark.parametrize("points", [np.float64(1.0), np.zeros((2, 2, 2))])
+    def test_neither_1d_nor_2d_rejected(self, points):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            mst_longest_edge(points)
 
     def test_matches_kruskal_oracle(self):
         rng = np.random.default_rng(58)

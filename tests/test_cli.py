@@ -255,6 +255,35 @@ class TestBatch:
         assert seq.exit_code == par.exit_code == 0
         assert self._mask_timing(seq.stdout_bytes) == self._mask_timing(par.stdout_bytes)
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [("5000", 8, 4), ("2", 8, 2), ("3", 2, 2), ("5000", None, 1)]
+    )
+    def test_batch_jobs_start_at_most_one_thread_per_file_and_cpu(
+        self, runner, batch_dir, monkeypatch, jobs, cpus, workers
+    ):
+        sizes = []
+
+        class Recorder:
+            """Stands in for the pool: records its size and maps in this thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        result = runner.invoke(main, ["batch", str(batch_dir), "--jobs", jobs])
+        assert result.exit_code == 0
+        assert result.stdout.count("\n") == 5  # header + 4 files
+        assert sizes == [workers]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_batch_jobs_below_one_is_a_usage_error(self, runner, batch_dir, jobs):
         result = runner.invoke(main, ["batch", str(batch_dir), "--jobs", jobs])

@@ -100,6 +100,16 @@ class TestClassify:
         state.classify_edge(edge(0, 1, (0, 1)))
         assert component_count(state) == before
 
+    @pytest.mark.parametrize("translation", [(1,), (1, 0, 0, 0)])
+    def test_join_refuses_a_translation_of_the_wrong_length(self, translation):
+        state = QuotientState(3, 3)
+        state.classify_edge(edge(1, 2, (0, 0, 1)))
+        roots, offsets = list(state._root), list(state._offset)
+        with pytest.raises(ValueError, match="in 3-D"):
+            state.classify_edge(edge(0, 1, translation))
+        assert state._root == roots
+        assert state._offset == offsets
+
 
 class TestPathSum:
     def test_reflexive_is_zero(self):
