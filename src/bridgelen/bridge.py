@@ -27,7 +27,7 @@ from .edges import CandidateEdge, EdgeGenerator
 from .errors import EmptyInput
 from .geometry import PeriodicSet
 from .intlinalg import OnlineSnfState
-from .quotient import QuotientState
+from .quotient import FOREST, ZERO_CYCLE, QuotientState
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,35 @@ def bridge_length(pset: PeriodicSet) -> BridgeReport:
     leave the basis as it is.  This function owns
     the trace: it records each forest edge and each span-growing cycle edge
     as it accepts them.  Terminates at the first accepted edge after which
-    the forest is connected and the span certificate is complete.
+    the forest is connected, which it is once it holds m - 1 edges (each
+    join merges two of the m classes), and the span certificate is
+    complete.
     """
     t0 = time.perf_counter()
     gen = EdgeGenerator(pset)
     r_upper = gen.metrics.r_upper
     state = QuotientState(pset.motif_size, pset.dim)
+    classify = state.classify_edge
+    joins = pset.motif_size - 1  # forest edges of a connected forest
     snf_state = OnlineSnfState(pset.dim)
     forest, cycles = [], []
     offered = set()  # cycle sums offered to snf_state, and their negations
     for examined, edge in enumerate(gen, start=1):
-        outcome = state.classify_edge(edge)
-        if outcome.kind == "forest":
+        outcome = classify(edge)
+        if outcome is ZERO_CYCLE:
+            continue
+        if outcome is FOREST:
             forest.append(edge)
-        elif outcome.kind == "cycle" and outcome.cycle_sum not in offered:
+        else:
             c = outcome.cycle_sum
+            if c in offered:
+                continue
             offered.add(c)
             offered.add(tuple([-x for x in c]))
             if not snf_state.add(c):
                 continue
             cycles.append((edge, c))
-        else:
-            continue
-        if state.connected() and snf_state.is_complete():
+        if len(forest) == joins and snf_state.is_complete():
             return BridgeReport(
                 beta=edge.length,
                 last_edge=edge,

@@ -127,6 +127,7 @@ independent.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -477,9 +478,12 @@ class EdgeGenerator:
     def _convert(self, end: int) -> list[CandidateEdge]:
         """The buffered rows from the cursor up to ``end`` as edges."""
         part = slice(self._cursor, end)
+        # tuple.__new__ skips _make's length check, which a zip of four
+        # columns cannot fail
         return list(
             map(
-                CandidateEdge._make,
+                tuple.__new__,
+                repeat(CandidateEdge),
                 zip(
                     self._length[part].tolist(),
                     self._source[part].tolist(),

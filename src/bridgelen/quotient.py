@@ -24,10 +24,15 @@ periodic graphs", in *Applied Geometry and Discrete Mathematics*, DIMACS
 Series 4, AMS, 1991, pp. 135-146.
 
 Only :meth:`QuotientState.classify_edge` mutates a state; reads never do.
-Distinct states are independent.  It runs once per examined edge, so it
-returns the shared outcomes ``FOREST`` and ``ZERO_CYCLE`` instead of
-building one per edge; only a nonzero cycle sum gets an outcome of its
-own.
+Distinct states are independent.  It runs once per examined edge, and
+most examined edges close a zero cycle: their translation equals the path
+sum ``offset(source) - offset(dest)``.  So the path sum is built as one
+tuple, with ``map(operator.sub, ...)``, and compared with the translation;
+a cycle sum of Python ints is built only for a join or a nonzero cycle.  A
+translation that is not a tuple (a list or a 1-D array) is not compared:
+it takes the long path, where an all-zero sum still gives a zero cycle.
+The shared outcomes ``FOREST`` and ``ZERO_CYCLE`` are returned instead of
+one built per edge; only a nonzero cycle sum gets an outcome of its own.
 """
 
 from __future__ import annotations
@@ -77,27 +82,25 @@ class QuotientState:
     def classify_edge(self, e: CandidateEdge) -> EdgeOutcome:
         """Join source and dest for a forest edge, else report the cycle sum.
 
-        A join refuses a translation whose length is not n with ValueError,
+        A translation whose length is not n is refused with ValueError,
         leaving the state unchanged.
         """
-        if not (0 <= e.source < self.m and 0 <= e.dest < self.m):
+        _, source, dest, t = e
+        m, offset = self.m, self._offset
+        if not (0 <= source < m and 0 <= dest < m):
             raise IndexError("edge endpoint out of range")
-        rs, rd = self._root[e.source], self._root[e.dest]
-        c = tuple(
-            [
-                a - b - int(t)
-                for a, b, t in zip(self._offset[e.source], self._offset[e.dest], e.translation)
-            ]
-        )
+        rs, rd = self._root[source], self._root[dest]
+        path = tuple(map(operator.sub, offset[source], offset[dest]))
+        # a zero cycle is one tuple comparison; a list or an array is
+        # found by any(c) below
+        if rs == rd and type(t) is tuple and path == t:
+            return ZERO_CYCLE
+        # every other outcome checks the length: map would cut the sum short
+        if len(t) != self.n:
+            raise ValueError(f"translation of length {len(t)} in {self.n}-D")
+        c = tuple(map(operator.sub, path, map(int, t)))
         if rs == rd:
-            if not any(c):
-                return ZERO_CYCLE
-            return EdgeOutcome(kind="cycle", cycle_sum=c)
-        # checked on a join only (m - 1 per structure, not one per edge): zip
-        # cut c to the shorter length, and a stored offset must have n entries;
-        # a nonzero cycle sum of the wrong length is refused by OnlineSnfState.add
-        if len(e.translation) != self.n:
-            raise ValueError(f"translation of length {len(e.translation)} in {self.n}-D")
+            return EdgeOutcome(kind="cycle", cycle_sum=c) if any(c) else ZERO_CYCLE
         # relabel the smaller side so that offset(source) - offset(dest) == v
         if len(self._members[rs]) >= len(self._members[rd]):
             keep, gone, shift = rs, rd, c

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelen import (
+    CandidateEdge,
     DegenerateCell,
     EdgeGenerator,
     LatticeBasis,
@@ -1059,6 +1060,38 @@ class TestChunkedRelease:
             # first yield and yield 2 * CHUNK + 5
             k = self.STOPS.index(2 * self.CHUNK + 5)
             assert len(got[k][1]) == 2 * self.CHUNK + 5 and got[0][0] == got[k][0]
+
+    @staticmethod
+    def buffer_row(gen, row):
+        """Row ``row`` of the buffer as a CandidateEdge of Python scalars."""
+        t = tuple(int(x) for x in gen._translation[row])
+        return CandidateEdge._make(
+            (float(gen._length[row]), int(gen._source[row]), int(gen._dest[row]), t)
+        )
+
+    @staticmethod
+    def assert_plain(e):
+        assert type(e) is CandidateEdge
+        assert (type(e.length), type(e.source), type(e.dest)) == (float, int, int)
+        assert type(e.translation) is tuple
+        assert all(type(x) is int for x in e.translation)
+
+    def test_each_edge_is_its_buffer_row_in_python_types(self, fig3_set, dense_000):
+        sheared = sheared_set(np.random.default_rng(5), 20.0)
+        assert EdgeGenerator(sheared)._unimodular is not None
+        for pset in (fig3_set, slab_19(), dense_000, sheared):
+            gen = EdgeGenerator(pset, max_length=math.inf)
+            for _ in range(3 * self.CHUNK + 7):
+                e = next(gen)
+                # the rows of a chunk stay put until the chunk is read out
+                first = gen._cursor - len(gen._ready)
+                self.assert_plain(e)
+                assert e == self.buffer_row(gen, first - 1)
+                pending = gen.pending
+                for p in pending:
+                    self.assert_plain(p)
+                rows = range(first, len(gen._length))
+                assert pending == tuple(self.buffer_row(gen, r) for r in rows)
 
     def test_yields_sort_across_chunk_boundaries(self, fig3_set, bcc, dense_000):
         for pset in (fig3_set, bcc, slab_19(), dense_000):

@@ -1,11 +1,15 @@
 """Tests for the labelled-quotient-graph state (stored roots and offsets)."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelen import CandidateEdge, QuotientState, quotient
+from bridgelen.quotient import FOREST, ZERO_CYCLE, EdgeOutcome, _add
 
 
 def edge(source, dest, translation, length=1.0):
@@ -35,6 +39,45 @@ class ForestOracle:
                     seen[nxt] = seen[v] + vec
                     queue.append(nxt)
         return seen.get(w)
+
+
+def reference_classify(self, e: CandidateEdge) -> EdgeOutcome:
+    """The former ``QuotientState.classify_edge``, kept as an oracle: it
+    builds the whole cycle sum for every edge.  It checks a translation's
+    length on a join only."""
+    if not (0 <= e.source < self.m and 0 <= e.dest < self.m):
+        raise IndexError("edge endpoint out of range")
+    rs, rd = self._root[e.source], self._root[e.dest]
+    c = tuple(
+        [
+            a - b - int(t)
+            for a, b, t in zip(self._offset[e.source], self._offset[e.dest], e.translation)
+        ]
+    )
+    if rs == rd:
+        if not any(c):
+            return ZERO_CYCLE
+        return EdgeOutcome(kind="cycle", cycle_sum=c)
+    # checked on a join only (m - 1 per structure, not one per edge): zip
+    # cut c to the shorter length, and a stored offset must have n entries;
+    # a nonzero cycle sum of the wrong length is refused by OnlineSnfState.add
+    if len(e.translation) != self.n:
+        raise ValueError(f"translation of length {len(e.translation)} in {self.n}-D")
+    # relabel the smaller side so that offset(source) - offset(dest) == v
+    if len(self._members[rs]) >= len(self._members[rd]):
+        keep, gone, shift = rs, rd, c
+    else:
+        keep, gone, shift = rd, rs, tuple(-x for x in c)
+    moved = self._members.pop(gone)
+    for u in moved:
+        self._root[u] = keep
+        self._offset[u] = _add(self._offset[u], shift)
+    self._members[keep].extend(moved)
+    return FOREST
+
+
+def snapshot(state):
+    return copy.deepcopy((state._root, state._offset, state._members))
 
 
 def path_sum(state, u, w):
@@ -99,6 +142,20 @@ class TestClassify:
         before = component_count(state)
         state.classify_edge(edge(0, 1, (0, 1)))
         assert component_count(state) == before
+
+    @pytest.mark.parametrize(
+        "source, dest, translation", [(0, 1, (0,)), (0, 1, (0, 0, 1, 5)), (0, 0, (0, 0))]
+    )
+    def test_one_component_refuses_a_translation_of_the_wrong_length(
+        self, source, dest, translation
+    ):
+        # each one cut to the shorter length would sum to zero
+        state = QuotientState(2, 3)
+        state.classify_edge(edge(0, 1, (0, 0, 1)))
+        before = snapshot(state)
+        with pytest.raises(ValueError, match="in 3-D"):
+            state.classify_edge(edge(source, dest, translation))
+        assert snapshot(state) == before
 
     @pytest.mark.parametrize("translation", [(1,), (1, 0, 0, 0)])
     def test_join_refuses_a_translation_of_the_wrong_length(self, translation):
@@ -213,3 +270,65 @@ class TestEdgeTypes:
                 outcome.cycle_sum = (1,)
         assert (forest.kind, forest.cycle_sum) == ("forest", None)
         assert (zero.kind, zero.cycle_sum) == ("zero_cycle", None)
+
+
+# translations in every form a library caller may pass: tuples of Python
+# and NumPy integers, lists and 1-D arrays
+_FORMS = (
+    lambda t: tuple(t),
+    lambda t: tuple(np.int32(x) for x in t),
+    lambda t: tuple(np.int64(x) for x in t),
+    lambda t: list(t),
+    lambda t: np.array(t, dtype=np.int64),
+    lambda t: np.array(t, dtype=np.int32),
+)
+
+
+@st.composite
+def edge_sequences(draw):
+    """A state size and edges for it: self-loops and repeated pairs
+    included, and now and then an endpoint out of range or a translation
+    of the wrong length."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, m - 1) | st.sampled_from([-1, m])
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+    edges = []
+    for _ in range(draw(st.integers(0, 24))):
+        s, d = draw(st.sampled_from(pairs) | st.tuples(vertex, vertex))
+        size = draw(st.sampled_from([n] * 8 + [max(n - 1, 0), n + 1]))
+        t = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        edges.append((s, d, draw(st.sampled_from(_FORMS))(t)))
+    return m, n, edges
+
+
+class TestAgainstTheReference:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_sequences())
+    def test_same_outcomes_and_state_as_the_reference(self, case):
+        m, n, edges = case
+        state, reference = QuotientState(m, n), QuotientState(m, n)
+        for s, d, t in edges:
+            e = CandidateEdge(1.0, s, d, t)
+            before = snapshot(state)
+            try:
+                want = reference_classify(reference, e)
+            except (IndexError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    state.classify_edge(e)
+                assert snapshot(state) == before
+                continue
+            if len(t) != n:
+                # the reference cut the sum short and changed nothing; this
+                # is refused
+                with pytest.raises(ValueError, match=f"in {n}-D"):
+                    state.classify_edge(e)
+                assert snapshot(state) == before
+                continue
+            got = state.classify_edge(e)
+            assert (got.kind, got.cycle_sum) == (want.kind, want.cycle_sum)
+            if got.kind != "cycle":
+                assert got is want
+            else:
+                assert all(type(x) is int for x in got.cycle_sum)
+            assert snapshot(state) == snapshot(reference)
