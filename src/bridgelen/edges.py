@@ -219,32 +219,33 @@ def _shell_blocks(lo: np.ndarray, up: np.ndarray, inner, outer: np.ndarray, bloc
     meets = (offset <= top).all(axis=0)
     if inner is not None:
         meets &= (np.maximum(-offset, top) > inner[:, None]).any(axis=0)
-    (box,) = np.nonzero(meets)
+    (box,) = meets.nonzero()
     # (box, axis) arrays of the boxes that meet the build
     offset = offset.take(box, 1).T
     radix = top.take(box, 1).T - offset + 1
     count = radix.prod(axis=1, dtype=np.int64)
-    (one,) = np.nonzero(count == 1)
+    (one,) = (count == 1).nonzero()
     for start in range(0, len(one), block):
         part = one[start : start + block]
-        yield offset[part], box[part]
-    (many,) = np.nonzero(count > 1)
+        yield offset.take(part, 0), box.take(part)
+    (many,) = (count > 1).nonzero()
     if len(many) == 0:
         return
     # one row per range, and the first index of each
-    box, rad, off = box[many], radix[many], offset[many]
-    end = np.cumsum(count[many])
-    first_index = end - count[many]
+    box, rad, off = box.take(many), radix.take(many, 0), offset.take(many, 0)
+    count = count.take(many)
+    end = count.cumsum()
+    first_index = end - count
     for start in range(0, int(end[-1]), block):
         index = np.arange(start, min(start + block, int(end[-1])))
-        q = np.searchsorted(end, index, side="right")
-        t = _decode(index - first_index[q], rad.take(q, 0), off.take(q, 0))
+        q = end.searchsorted(index, side="right")
+        t = _decode(index - first_index.take(q), rad.take(q, 0), off.take(q, 0))
         if inner is not None:
-            keep = (np.abs(t) > inner).any(axis=1)
-            t, q = t[keep], q[keep]
-            if len(t) == 0:
+            (keep,) = (np.abs(t) > inner).any(axis=1).nonzero()
+            if len(keep) == 0:
                 continue
-        yield t, box[q]
+            t, q = t.take(keep, 0), q.take(keep)
+        yield t, box.take(q)
 
 
 def _spacing(cell, m: int) -> float:
@@ -321,14 +322,15 @@ def _yield_order(length, source, dest, translation) -> np.ndarray:
     full key among themselves.  Their lengths are the same multiset, so
     each run keeps its positions.
     """
-    order = np.argsort(length, kind="stable")
-    same = length[order[1:]] == length[order[:-1]]
+    order = length.argsort(kind="stable")
+    ordered = length[order]
+    same = ordered[1:] == ordered[:-1]
     tied = np.zeros(len(order), dtype=bool)
     tied[1:] = same
     tied[:-1] |= same
     if tied.any():
         rows = order[tied]
-        key = (*translation[rows].T[::-1], dest[rows], source[rows], length[rows])
+        key = (*translation.take(rows, 0).T[::-1], dest[rows], source[rows], ordered[tied])
         order[tied] = rows[np.lexsort(key)]
     return order
 
@@ -365,7 +367,7 @@ class EdgeGenerator:
         # build L reaches floor(L h_max / h_k) cells on axis k
         self._ratio = self._heights.max() / self._heights
         # the motif's extent on each axis of that cell
-        self._spread = np.ptp(frac, axis=0)
+        self._spread = frac.max(axis=0) - frac.min(axis=0)
         if max_length is None:
             max_length = self.metrics.r_upper * (1.0 + _BOX_SLACK)
         if not max_length >= 0:
@@ -378,11 +380,11 @@ class EdgeGenerator:
         m = self._m
         point = np.arange(m + 1, dtype=np.int32)
         partners = np.where(point < m, m - 1 - point, 1)
-        self._pair_src = np.repeat(point, partners)
+        self._pair_src = point.repeat(partners)
         # row i counts up from min(i + 1, m) at its first index, the sum
         # of the partners before it
-        start = np.cumsum(partners, dtype=np.int32) - partners
-        self._pair_dst = np.repeat(np.minimum(point + 1, m) - start, partners)
+        start = partners.cumsum(dtype=np.int32) - partners
+        self._pair_dst = (np.minimum(point + 1, m) - start).repeat(partners)
         self._pair_dst += np.arange(len(self._pair_dst), dtype=np.int32)
         self._self_pair = len(self._pair_dst) - 1
         self._points = point[:m]
@@ -444,7 +446,7 @@ class EdgeGenerator:
         next edge read, of length L_e, is not yet released, so the bound
         after the build before it was at most L_e: build L is made only
         if (L - 2) h_max < L_e plus the margin."""
-        bound = float(np.min((extent + 1 - self._spread) * self._heights))
+        bound = float(((extent + 1 - self._spread) * self._heights).min())
         return bound * (1.0 - _BOX_SLACK) - _BOX_SLACK * self._n * self.metrics.b
 
     def __iter__(self):
@@ -464,13 +466,13 @@ class EdgeGenerator:
                 self._extent = self._extents(self._builds)
                 self._merge(self._collect(inner, self._extent, -math.inf, self._horizon))
                 self._bound = self._release_bound(self._extent)
-                self._released = int(np.searchsorted(self._length, self._bound))
+                self._released = int(self._length.searchsorted(self._bound))
             elif self._horizon < self.max_length:
                 # the buffer is empty: every edge up to the horizon is out
                 lo = self._horizon
                 self._horizon = min(lo * _GROWTH_FACTOR, self.max_length)
                 self._merge(self._collect(None, self._extent, lo, self._horizon))
-                self._released = int(np.searchsorted(self._length, self._bound))
+                self._released = int(self._length.searchsorted(self._bound))
             else:
                 raise StopIteration
         return self._ready.pop()
@@ -544,8 +546,8 @@ class EdgeGenerator:
             lo_p, up_p = lo[:, part], up[:, part]
             np.ceil(-radius - delta, out=lo_p, casting="unsafe")
             np.floor(radius - delta, out=up_p, casting="unsafe")
-            np.any(lo_p > up_p, axis=0, out=empty[part])
-        (self._live,) = np.nonzero(~empty)
+            (lo_p > up_p).any(axis=0, out=empty[part])
+        (self._live,) = (~empty).nonzero()
         self._box_lo = lo.take(self._live, 1)
         self._box_up = up.take(self._live, 1)
         self._box_horizon = hi
@@ -559,7 +561,7 @@ class EdgeGenerator:
         if hi != self._box_horizon:
             self._set_boxes(hi)
         for t, box in _shell_blocks(self._box_lo, self._box_up, inner, outer, _BLOCK):
-            pair = self._live[box]
+            pair = self._live.take(box)
             if self._unimodular is not None:
                 t = self._input_translations(t, pair)
             # a stacked (1, n) @ (n, n) product rounds each row as the
@@ -577,11 +579,15 @@ class EdgeGenerator:
                 length = row_norms((dst + shift) - src)
             keep = (length > lo) & (length <= hi)
             if own.any():
-                keep &= ~own | _lex_positive_rows(t)
-                yield self._self_rows(length[keep & own], t[keep & own])
-                keep &= ~own
-            pair = pair[keep]
-            yield length[keep], self._pair_src[pair], self._pair_dst[pair], t[keep]
+                # only the self class keeps one of +-t, and rows out of the band go anyway
+                (row,) = (keep & own).nonzero()
+                keep[row] = False
+                row = row[_lex_positive_rows(t.take(row, 0))]
+                yield self._self_rows(length.take(row), t.take(row, 0))
+            (row,) = keep.nonzero()
+            pair = pair.take(row)
+            src, dst = self._pair_src.take(pair), self._pair_dst.take(pair)
+            yield length.take(row), src, dst, t.take(row, 0)
 
     def _input_translations(self, t: np.ndarray, pair) -> np.ndarray:
         """Reduced-cell translations ``t`` of the rows of ``pair`` mapped to
@@ -600,7 +606,7 @@ class EdgeGenerator:
         points = np.empty((len(t), m), dtype=np.int32)
         points[:] = self._points
         points = points.reshape(-1)
-        return np.repeat(length, m), points, points, np.repeat(t, m, axis=0)
+        return length.repeat(m), points, points, t.repeat(m, axis=0)
 
     def _merge(self, parts) -> None:
         """Put the unread rest of the buffer and ``parts`` in yield order."""
@@ -610,8 +616,8 @@ class EdgeGenerator:
             np.concatenate(c) for c in zip(rest, *parts)
         )
         order = _yield_order(length, source, dest, translation)
-        self._length = length[order]
-        self._source = source[order]
-        self._dest = dest[order]
-        self._translation = translation[order]
+        self._length = length.take(order)
+        self._source = source.take(order)
+        self._dest = dest.take(order)
+        self._translation = translation.take(order, 0)
         self._cursor = 0

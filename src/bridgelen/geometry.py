@@ -75,10 +75,26 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     length-critical norm in the package, so quantities that are equal in
     exact arithmetic (for example a bridge length attaining the cell upper
     bound) stay bitwise equal instead of differing by an ulp across BLAS
-    code paths.
+    code paths.  The squared columns c_k are summed in a fixed order, one
+    array operation per column: left to right, ((c0 + c1) + c2) + ..., for
+    n <= 7, and the tree ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
+    at n = 8 (rows wider than ``MAX_DIM``, which the package never makes,
+    sum left to right).  That is the order of ``(a * a).sum(axis=-1)`` on
+    contiguous rows in NumPy 2.4, whose pairwise summation adds fewer than
+    8 terms in a loop and exactly 8 as that tree, so every length is the
+    one the reduction gave.  Unlike the reduction, the order does not
+    depend on the input's memory layout or on how NumPy iterates, and on
+    short rows it costs less.
     """
     a = np.asarray(a, dtype=float)
-    return np.sqrt((a * a).sum(axis=-1))
+    square = a * a
+    c = [square[..., k] for k in range(a.shape[-1])]
+    if len(c) == 8:
+        c = [(c[0] + c[1]) + (c[2] + c[3]), (c[4] + c[5]) + (c[6] + c[7])]
+    total = c[0] if c else np.zeros(a.shape[:-1])
+    for column in c[1:]:
+        total = total + column
+    return np.sqrt(total)
 
 
 def wrap_fractional(points: np.ndarray) -> np.ndarray:

@@ -37,8 +37,8 @@ one built per edge; only a nonzero cycle sum gets an outcome of its own.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Literal, Optional
 
 from .edges import CandidateEdge
@@ -54,10 +54,6 @@ class EdgeOutcome:
 
 FOREST = EdgeOutcome(kind="forest")
 ZERO_CYCLE = EdgeOutcome(kind="zero_cycle")
-
-
-def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.add, a, b))
 
 
 class QuotientState:
@@ -77,6 +73,10 @@ class QuotientState:
         self._members = {v: [v] for v in range(m)}
 
     def connected(self) -> bool:
+        """Whether every vertex lies in one component: the library's read
+        of connectivity.  :func:`~bridgelen.bridge.bridge_length` does not
+        call it; it counts the m - 1 forest edges of a connected forest
+        instead."""
         return len(self._members) == 1
 
     def classify_edge(self, e: CandidateEdge) -> EdgeOutcome:
@@ -90,7 +90,7 @@ class QuotientState:
         if not (0 <= source < m and 0 <= dest < m):
             raise IndexError("edge endpoint out of range")
         rs, rd = self._root[source], self._root[dest]
-        path = tuple(map(operator.sub, offset[source], offset[dest]))
+        path = tuple(map(sub, offset[source], offset[dest]))
         # a zero cycle is one tuple comparison; a list or an array is
         # found by any(c) below
         if rs == rd and type(t) is tuple and path == t:
@@ -98,17 +98,18 @@ class QuotientState:
         # every other outcome checks the length: map would cut the sum short
         if len(t) != self.n:
             raise ValueError(f"translation of length {len(t)} in {self.n}-D")
-        c = tuple(map(operator.sub, path, map(int, t)))
+        c = tuple(map(sub, path, map(int, t)))
         if rs == rd:
-            return EdgeOutcome(kind="cycle", cycle_sum=c) if any(c) else ZERO_CYCLE
+            return EdgeOutcome("cycle", c) if any(c) else ZERO_CYCLE
         # relabel the smaller side so that offset(source) - offset(dest) == v
         if len(self._members[rs]) >= len(self._members[rd]):
             keep, gone, shift = rs, rd, c
         else:
-            keep, gone, shift = rd, rs, tuple(-x for x in c)
+            keep, gone, shift = rd, rs, tuple([-x for x in c])
         moved = self._members.pop(gone)
+        root = self._root
         for u in moved:
-            self._root[u] = keep
-            self._offset[u] = _add(self._offset[u], shift)
+            root[u] = keep
+            offset[u] = tuple(map(add, offset[u], shift))
         self._members[keep].extend(moved)
         return FOREST

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bridgelen import (
@@ -913,6 +913,157 @@ class TestPairBoxes:
         for name in ("Z", "BCC", "D", "A"):
             for n in (4, 6):
                 checked_stream(lattice_set(name, n), k=20)
+
+
+def reference_shell_blocks(lo, up, inner, outer, block):
+    """The former ``_shell_blocks``, kept as part of
+    :func:`reference_collect`: the decoded rows inside ``inner`` are
+    dropped by boolean masks."""
+    outer = outer[:, None]
+    offset = np.maximum(lo, -outer)
+    top = np.minimum(up, outer)
+    meets = (offset <= top).all(axis=0)
+    if inner is not None:
+        meets &= (np.maximum(-offset, top) > inner[:, None]).any(axis=0)
+    (box,) = np.nonzero(meets)
+    offset = offset.take(box, 1).T
+    radix = top.take(box, 1).T - offset + 1
+    count = radix.prod(axis=1, dtype=np.int64)
+    (one,) = np.nonzero(count == 1)
+    for start in range(0, len(one), block):
+        part = one[start : start + block]
+        yield offset[part], box[part]
+    (many,) = np.nonzero(count > 1)
+    if len(many) == 0:
+        return
+    box, rad, off = box[many], radix[many], offset[many]
+    end = np.cumsum(count[many])
+    first_index = end - count[many]
+    for start in range(0, int(end[-1]), block):
+        index = np.arange(start, min(start + block, int(end[-1])))
+        q = np.searchsorted(end, index, side="right")
+        t = edges_module._decode(index - first_index[q], rad.take(q, 0), off.take(q, 0))
+        if inner is not None:
+            keep = (np.abs(t) > inner).any(axis=1)
+            t, q = t[keep], q[keep]
+            if len(t) == 0:
+                continue
+        yield t, box[q]
+
+
+def reference_collect(self, inner, outer, lo, hi):
+    """The former ``EdgeGenerator._collect``, kept as an oracle for the
+    pair kernel: it gathers the kept rows by boolean masks, runs the lex
+    test over every row of a block, and sums each row norm with NumPy's
+    own reduction, ``np.sqrt((a * a).sum(axis=-1))``."""
+    if hi != self._box_horizon:
+        self._set_boxes(hi)
+    blocks = reference_shell_blocks(
+        self._box_lo, self._box_up, inner, outer, edges_module._BLOCK
+    )
+    for t, box in blocks:
+        pair = self._live[box]
+        if self._unimodular is not None:
+            t = self._input_translations(t, pair)
+        shift = (t[:, None, :].astype(float) @ self._basis)[:, 0]
+        own = pair == self._self_pair
+        if own.all():
+            length = np.sqrt((shift * shift).sum(axis=-1))
+        else:
+            src = self._cart.take(self._pair_src.take(pair), 0)
+            dst = self._cart.take(self._pair_dst.take(pair), 0)
+            x = (dst + shift) - src
+            length = np.sqrt((x * x).sum(axis=-1))
+        keep = (length > lo) & (length <= hi)
+        if own.any():
+            keep &= ~own | edges_module._lex_positive_rows(t)
+            own_length, own_t = length[keep & own], t[keep & own]
+            points = np.tile(np.arange(self._m, dtype=np.int32), len(own_t))
+            yield (
+                np.repeat(own_length, self._m),
+                points,
+                points,
+                np.repeat(own_t, self._m, axis=0),
+            )
+            keep &= ~own
+        pair = pair[keep]
+        yield length[keep], self._pair_src[pair], self._pair_dst[pair], t[keep]
+
+
+@st.composite
+def kernel_calls(draw):
+    """A periodic set and one ``_collect`` call on its stream: a build L
+    (its box less build L - 1's) or a rescan band (lo, hi] of build L's
+    whole box, in the input cell or in a reduced one, with the block size
+    drawn small or not.  ``scale`` sets the horizon: times L h_max up to
+    4-D, so that later builds keep rows, and times the motif's spacing
+    above, where a box of a few cells a side already holds thousands of
+    translations."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12 if n <= 4 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_basis(rng, n, max_aspect=10.0)
+    # a sheared cell kept as the input one has long boxes in high dimension
+    cells = ["input", "sheared", "sheared, kept"]
+    cell = draw(st.sampled_from(cells if n <= 4 else cells[:2]))
+    u = random_unimodular(rng, n, reach=2) if cell != "input" else np.eye(n, dtype=np.int64)
+    try:
+        basis = LatticeBasis(u @ base.vectors)
+    except DegenerateCell:  # a shear too long for the determinant check
+        assume(False)
+    pset = PeriodicSet(basis, Motif(rng.random((m, n)) @ np.linalg.inv(u)))
+    build = draw(st.integers(1, 3 if n <= 4 else 2))
+    rescan = draw(st.booleans())
+    scale = draw(st.floats(0.2, 1.5 if n <= 3 else 0.8 if n == 4 else 1.2))
+    # small blocks split boxes, the self box among them, over blocks
+    small = [2, 3, 5, 8] if n <= 3 and m <= 3 else [64]
+    block = draw(st.sampled_from([*small, edges_module._BLOCK]))
+    return pset, cell, build, rescan, scale, block
+
+
+class TestKernelOracle:
+    """The pair kernel yields what the former one did: every part equal in
+    values, bit for bit, in dtype and in row order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_calls())
+    def test_parts_equal_the_former_kernel(self, call):
+        pset, cell, build, rescan, scale, block = call
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(edges_module, "_BLOCK", block)
+            if cell == "sheared, kept":
+                patch.setattr(edges_module, "reduce_basis", keep_input_cell)
+            gen = EdgeGenerator(pset)
+            if pset.dim <= 4:
+                hi = scale * build * gen._heights.max()
+            else:
+                hi = scale * edges_module._spacing(gen._cell, pset.motif_size)
+            outer = gen._extents(build)
+            if rescan:
+                inner, lo = None, hi / 2
+            else:
+                inner, lo = (gen._extents(build - 1) if build > 1 else None), -math.inf
+            got = list(gen._collect(inner, outer, lo, hi))
+            expected = list(reference_collect(gen, inner, outer, lo, hi))
+        assert len(got) == len(expected)
+        for part, want in zip(got, expected):
+            for column, column_want in zip(part, want, strict=True):
+                assert column.dtype == column_want.dtype
+                assert column.shape == column_want.shape
+                assert column.tobytes() == column_want.tobytes()
+
+    def test_a_self_box_split_over_two_blocks(self, monkeypatch):
+        # Z^2's cube is one self box of nine translations: blocks of seven
+        # rows split it, and each block yields two lex-positive rows
+        monkeypatch.setattr(edges_module, "_BLOCK", 7)
+        gen = EdgeGenerator(make_set(np.eye(2), [[0.0, 0.0]]))
+        outer = gen._extents(1)
+        got = list(gen._collect(None, outer, -math.inf, 1.5))
+        expected = list(reference_collect(gen, None, outer, -math.inf, 1.5))
+        assert len(got) == len(expected) == 4
+        for part, want in zip(got, expected):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(part, want))
+        assert [len(part[0]) for part in got[::2]] == [2, 2]
 
 
 class TestWorkBound:

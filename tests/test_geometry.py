@@ -116,6 +116,76 @@ def assert_stacked_pass_matches(basis: LatticeBasis, u) -> None:
         assert [metrics_or_error(None, lambda _: m) for m in stacked] == alone
 
 
+@st.composite
+def norm_inputs(draw):
+    """A float array of rows of n = 1-8 entries, 1-D, (rows, n) or (k,
+    rows, n), whose magnitudes spread over up to 300 decades, with zeros,
+    negative zeros and subnormals mixed in; every square sum stays finite."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 64, 881, 2000]))
+    lead = draw(st.sampled_from([(), (rows,), (draw(st.integers(1, 3)), rows)]))
+    shape = (*lead, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decades = draw(st.sampled_from([0, 1, 16, 300]))
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades / 2, decades / 2, shape)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-308])
+    mask = rng.random(shape) < draw(st.sampled_from([0.0, 0.2]))
+    a[mask] = rng.choice(special, size=int(mask.sum()))
+    return a
+
+
+def strided_copies(a: np.ndarray):
+    """``a`` in other memory layouts: Fortran order, every other element
+    of a larger array, and reversed twice (negative strides)."""
+    every_other = tuple(slice(None, None, 2) for _ in a.shape)
+    big = np.zeros(tuple(2 * k for k in a.shape))
+    big[every_other] = a
+    flipped = np.flip(np.flip(a).copy())
+    return np.asfortranarray(a), big[every_other], flipped
+
+
+class TestRowNorms:
+    """``row_norms`` sums the squared columns in a fixed order, the one
+    NumPy's contiguous ``(a * a).sum(axis=-1)`` takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(norm_inputs())
+    def test_bits_equal_numpy_sum(self, a):
+        want = np.sqrt((a * a).sum(axis=-1))
+        got = row_norms(a)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(norm_inputs())
+    def test_layout_does_not_change_a_norm(self, a):
+        want = row_norms(np.ascontiguousarray(a)).tobytes()
+        for copy in strided_copies(a):
+            assert np.array_equal(copy, a)
+            assert row_norms(copy).tobytes() == want
+
+    def test_eight_columns_sum_as_a_tree(self):
+        # on same-magnitude rows the order shows: the tree of pairs gives
+        # every norm, and left to right misses some
+        a = np.random.default_rng(5).standard_normal((400, 8))
+        c = list((a * a).T)
+        tree = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+        left = c[0]
+        for column in c[1:]:
+            left = left + column
+        assert row_norms(a).tobytes() == np.sqrt(tree).tobytes()
+        assert not np.array_equal(np.sqrt(left), np.sqrt(tree))
+
+    def test_integer_rows(self):
+        assert row_norms(np.array([[3, 4], [0, 0]])).tolist() == [5.0, 0.0]
+
+    def test_empty_rows_have_norm_zero(self):
+        # as the sum of no squares: two points of a 0-D motif coincide
+        assert row_norms(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="coincide"):
+            Motif(np.zeros((2, 0)))
+
+
 class TestCellMetrics:
     def test_unit_cube(self):
         m = cell_metrics(LatticeBasis(np.eye(3)))

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelen import CandidateEdge, QuotientState, quotient
-from bridgelen.quotient import FOREST, ZERO_CYCLE, EdgeOutcome, _add
+from bridgelen.quotient import FOREST, ZERO_CYCLE, EdgeOutcome
 
 
 def edge(source, dest, translation, length=1.0):
@@ -39,6 +40,12 @@ class ForestOracle:
                     seen[nxt] = seen[v] + vec
                     queue.append(nxt)
         return seen.get(w)
+
+
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The former ``quotient._add``, which ``reference_classify`` relabels
+    with."""
+    return tuple(map(operator.add, a, b))
 
 
 def reference_classify(self, e: CandidateEdge) -> EdgeOutcome:
