@@ -20,30 +20,31 @@ motif pair (i, j), f being fractional coordinates, has |x| >= |f_jk -
 f_ik + t_k| h_k on every axis k.  So a class no longer than hi has its
 translation in an integer *box*, t_k in [ceil(-r_k - Delta_k), floor(r_k
 - Delta_k)] with Delta = f_j - f_i and r_k = hi / h_k, widened slightly
-against rounding; the self class is the pair with Delta = 0.  The boxes
-are computed once per band, as (n, live) columns, and the pairs whose
-box is empty are dropped.  A build is made only where it meets a live
-pair's box: each box is clipped to the build's box, and the clip alone
-decides whether the box takes part (it must be non-empty, and its far
-corner must lie outside build L - 1's box on some axis), so the boxes
-carry no build bounds.  A clipped box is a mixed-radix range, decoded in
-blocks of (translation, pair) rows; a range of one translation is its
-offset, with no decode.  For L > 1 the decoded rows inside build L - 1's
-box are dropped before any length is computed.  Each block gives its
-lengths in one numpy expression, the same for every row, and keeps those
-inside the band.  The buffer is a set of parallel arrays (length,
-source, dest, translation): after each build the unread rest and the new
-candidates are put in yield order and a cursor walks them.  The order is
-one stable ``np.argsort`` of the lengths; the full key is sorted only on
-the rows inside runs of equal length.  Edges leave the buffer in chunks:
-when the converted edges run out, the next ``_CHUNK`` released rows at
-most become :class:`CandidateEdge` tuples, with one ``tolist()`` per
-column, and each ``next()`` hands out one.  So a CandidateEdge is built
-only for an edge yielded or for the rest of its chunk; converting the
-whole released run at once would build many that a consumer stopping
-early never reads.  A buffered edge of length L is released only when L
-is strictly below the *height-projected* lower bound on every edge of a
-translation not yet built:
+against rounding; the self class is the pair with Delta = 0, from an
+extra zero point m to itself.  The boxes are computed for each build and
+each rescan, as (n, live) columns beside the endpoints of their pairs,
+and the pairs whose box is empty are dropped.  A build is made only
+where it meets a live pair's box: each box is clipped to the build's
+box, and the clip alone decides whether the box takes part (it must be
+non-empty, and its far corner must lie outside build L - 1's box on some
+axis), so the boxes carry no build bounds.  Every clipped box is a
+mixed-radix range, decoded in blocks of (translation, pair) rows.  For
+L > 1 the decoded rows inside build L - 1's box are dropped before any
+length is computed.  Each block gives its lengths in one numpy
+expression, the same for every row, the self class's included, and
+keeps those inside the band.  The buffer is a set of parallel arrays
+(length, source, dest, translation): after each build the unread rest
+and the new candidates are put in yield order and a cursor walks them.
+The order is one stable ``np.argsort`` of the lengths; the full key is
+sorted only on the rows inside runs of equal length.  Edges leave the
+buffer in chunks: when the converted edges run out, the next ``_CHUNK``
+released rows at most become :class:`CandidateEdge` tuples, with one
+``tolist()`` per column, and each ``next()`` hands out one.  So a
+CandidateEdge is built only for an edge yielded or for the rest of its
+chunk; converting the whole released run at once would build many that a
+consumer stopping early never reads.  A buffered edge of length L is
+released only when L is strictly below the *height-projected* lower
+bound on every edge of a translation not yet built:
 
     bound(e) = min_k (e_k + 1 - spread_k) h_k
 
@@ -202,15 +203,14 @@ def _shell_blocks(lo: np.ndarray, up: np.ndarray, inner, outer: np.ndarray, bloc
     A box clipped to ``outer`` is a product of ranges, so a mixed-radix
     range.  A box takes part iff that clip is non-empty and its far
     corner, the point of largest |t_k| on every axis, lies outside
-    ``inner`` on some axis; no other bound on the box is needed.  A range
-    of one translation is its offset, with no decode.  The other ranges
-    are decoded together, each row with its own box's radices, so many
-    small boxes make one block.  The decoded rows inside ``inner`` are
-    dropped before any length is computed, so a block can hold fewer than
-    ``block`` rows.  Every vector of a box comes once, and no grid of the
-    whole ``outer`` box is built.  L-infinity shells ``first`` to ``last``
-    are the case of equal extents on every axis: ``first - 1`` and
-    ``last``.
+    ``inner`` on some axis; no other bound on the box is needed.  The
+    ranges are decoded together in box order, each row with its own box's
+    radices, so many small boxes make one block.  The decoded rows inside
+    ``inner`` are dropped before any length is computed, so a block can
+    hold fewer than ``block`` rows.  Every vector of a box comes once, and
+    no grid of the whole ``outer`` box is built.  L-infinity shells
+    ``first`` to ``last`` are the case of equal extents on every axis:
+    ``first - 1`` and ``last``.
     """
     # (axis, box) arrays: each box clipped to the outer box
     outer = outer[:, None]
@@ -220,26 +220,18 @@ def _shell_blocks(lo: np.ndarray, up: np.ndarray, inner, outer: np.ndarray, bloc
     if inner is not None:
         meets &= (np.maximum(-offset, top) > inner[:, None]).any(axis=0)
     (box,) = meets.nonzero()
-    # (box, axis) arrays of the boxes that meet the build
+    # (box, axis) arrays of the boxes that meet the build, and the first
+    # index of each range
     offset = offset.take(box, 1).T
     radix = top.take(box, 1).T - offset + 1
     count = radix.prod(axis=1, dtype=np.int64)
-    (one,) = (count == 1).nonzero()
-    for start in range(0, len(one), block):
-        part = one[start : start + block]
-        yield offset.take(part, 0), box.take(part)
-    (many,) = (count > 1).nonzero()
-    if len(many) == 0:
-        return
-    # one row per range, and the first index of each
-    box, rad, off = box.take(many), radix.take(many, 0), offset.take(many, 0)
-    count = count.take(many)
     end = count.cumsum()
     first_index = end - count
-    for start in range(0, int(end[-1]), block):
-        index = np.arange(start, min(start + block, int(end[-1])))
+    total = int(count.sum())
+    for start in range(0, total, block):
+        index = np.arange(start, min(start + block, total))
         q = end.searchsorted(index, side="right")
-        t = _decode(index - first_index.take(q), rad.take(q, 0), off.take(q, 0))
+        t = _decode(index - first_index.take(q), radix.take(q, 0), offset.take(q, 0))
         if inner is not None:
             (keep,) = (np.abs(t) > inner).any(axis=1).nonzero()
             if len(keep) == 0:
@@ -386,14 +378,12 @@ class EdgeGenerator:
         start = partners.cumsum(dtype=np.int32) - partners
         self._pair_dst = (np.minimum(point + 1, m) - start).repeat(partners)
         self._pair_dst += np.arange(len(self._pair_dst), dtype=np.int32)
-        self._self_pair = len(self._pair_dst) - 1
         self._points = point[:m]
         zero = np.zeros((1, self._n))
         # (m + 1, n) motif, and its fractional axes as contiguous columns;
-        # a block's rows are gathered by pair index, no pair copy is kept
+        # a block's rows are gathered by endpoint, no pair copy is kept
         self._cart = np.concatenate([cart, zero])
         self._frac_axes = np.concatenate([frac, zero]).T.copy()
-        self._box_horizon = None
         # the buffer, in yield order from the cursor on
         self._length = np.empty(0)
         self._source = np.empty(0, dtype=np.int32)
@@ -499,9 +489,10 @@ class EdgeGenerator:
         """Give every pair, the self class (the last pair, Delta = 0)
         included, the box of translations that can bring it within ``hi``,
         and drop the pairs whose box is empty.  The live boxes are kept as
-        (n, live) int32 columns ``lo`` and ``up``, with no build bounds:
-        :func:`_shell_blocks` clips each one to a build's box, and the clip
-        decides whether it meets the build.
+        (n, live) int32 columns ``lo`` and ``up``, with no build bounds,
+        and the endpoints of their pairs as ``_live_src`` and
+        ``_live_dst``: :func:`_shell_blocks` clips each box to a build's
+        box, and the clip decides whether it meets the build.
 
         The edge x = (f_j - f_i + t) B of pair (i, j) has |x| >= |f_jk -
         f_ik + t_k| h_k on every axis k, h_k being the cell height over
@@ -547,37 +538,33 @@ class EdgeGenerator:
             np.ceil(-radius - delta, out=lo_p, casting="unsafe")
             np.floor(radius - delta, out=up_p, casting="unsafe")
             (lo_p > up_p).any(axis=0, out=empty[part])
-        (self._live,) = (~empty).nonzero()
-        self._box_lo = lo.take(self._live, 1)
-        self._box_up = up.take(self._live, 1)
-        self._box_horizon = hi
+        (live,) = (~empty).nonzero()
+        self._box_lo = lo.take(live, 1)
+        self._box_up = up.take(live, 1)
+        self._live_src = self._pair_src.take(live)
+        self._live_dst = self._pair_dst.take(live)
 
     def _collect(self, inner, outer: np.ndarray, lo: float, hi: float):
         """The classes whose translation lies in the box of extents
         ``outer`` and outside that of ``inner`` (see :func:`_shell_blocks`)
         with lo < length <= hi, unordered, as blocks of (length, source,
-        dest, translation) arrays.  Lengths are computed only for the
-        translations in each pair's box."""
-        if hi != self._box_horizon:
-            self._set_boxes(hi)
+        dest, translation) arrays.  The pair boxes are set for ``hi`` on
+        every call, and lengths are computed only for the translations in
+        them, by one expression for every row."""
+        self._set_boxes(hi)
         for t, box in _shell_blocks(self._box_lo, self._box_up, inner, outer, _BLOCK):
-            pair = self._live.take(box)
+            src, dst = self._live_src.take(box), self._live_dst.take(box)
             if self._unimodular is not None:
-                t = self._input_translations(t, pair)
+                t = self._input_translations(t, src, dst)
             # a stacked (1, n) @ (n, n) product rounds each row as the
             # product for one translation does; a (rows, n) @ (n, n)
             # product rounds differently for n >= 4, which would make
             # lengths depend on the block size.  A zero t shifts by +-0.0,
             # which adds nothing.
             shift = (t[:, None, :].astype(float) @ self._basis)[:, 0]
-            own = pair == self._self_pair
-            if own.all():  # the self class alone, as in a lattice: |tB|
-                length = row_norms(shift)
-            else:
-                src = self._cart.take(self._pair_src.take(pair), 0)
-                dst = self._cart.take(self._pair_dst.take(pair), 0)
-                length = row_norms((dst + shift) - src)
+            length = row_norms((self._cart.take(dst, 0) + shift) - self._cart.take(src, 0))
             keep = (length > lo) & (length <= hi)
+            own = src == self._m
             if own.any():
                 # only the self class keeps one of +-t, and rows out of the band go anyway
                 (row,) = (keep & own).nonzero()
@@ -585,15 +572,14 @@ class EdgeGenerator:
                 row = row[_lex_positive_rows(t.take(row, 0))]
                 yield self._self_rows(length.take(row), t.take(row, 0))
             (row,) = keep.nonzero()
-            pair = pair.take(row)
-            src, dst = self._pair_src.take(pair), self._pair_dst.take(pair)
-            yield length.take(row), src, dst, t.take(row, 0)
+            yield length.take(row), src.take(row), dst.take(row), t.take(row, 0)
 
-    def _input_translations(self, t: np.ndarray, pair) -> np.ndarray:
-        """Reduced-cell translations ``t`` of the rows of ``pair`` mapped to
-        the input cell: (t + w_src - w_dst) U, w being the wrap offsets."""
-        wrap = self._wrap.take(self._pair_src.take(pair), 0)
-        wrap -= self._wrap.take(self._pair_dst.take(pair), 0)
+    def _input_translations(self, t: np.ndarray, src, dst) -> np.ndarray:
+        """Reduced-cell translations ``t`` of rows from ``src`` to ``dst``
+        mapped to the input cell: (t + w_src - w_dst) U, w being the wrap
+        offsets."""
+        wrap = self._wrap.take(src, 0)
+        wrap -= self._wrap.take(dst, 0)
         # a float product of integers below 2^53 is exact, and faster
         return ((t + wrap) @ self._unimodular).astype(np.int32)
 

@@ -212,8 +212,6 @@ def coincident_pairs(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     change, so sites spread along one such line are all candidates.
     """
     m, n = points.shape
-    if m == 1:  # no pairs
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
     p = np.dot(points[:, :3], _WEIGHTS[:n]) % 1.0
     order = np.argsort(p, kind="stable")
     ps = p[order]

@@ -2,7 +2,9 @@
 
 Everything here works on plain Python integers (arbitrary precision), so
 unimodular products never overflow and the divisibility certificates are
-exact.  Matrices are lists of row lists.
+exact.  Matrices are lists of row lists.  Every entry is read with
+``operator.index``: Python and NumPy integers pass, and a float raises
+TypeError rather than being truncated.
 
 The central fact used by the bridge computation: integer vectors generate
 all of Z^n exactly when a Hermite basis of their span has n unit pivots.
@@ -13,6 +15,7 @@ all of Z^n exactly when a Hermite basis of their span has n unit pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -23,7 +26,7 @@ def _identity(n: int) -> IntMatrix:
 
 
 def _copy(a) -> IntMatrix:
-    return [[int(x) for x in row] for row in a]
+    return [list(map(index, row)) for row in a]
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def in_span(a: Sequence[Sequence[int]], c: Sequence[int]) -> bool:
     which reduces to componentwise divisibility plus zero residuals.
     """
     n = len(a)
-    cv = [int(x) for x in c]
+    cv = list(map(index, c))
     if len(cv) != n:
         raise ValueError(f"vector has {len(cv)} entries, matrix has {n} rows")
     if n == 0 or len(a[0]) == 0:
@@ -207,8 +210,9 @@ class OnlineSnfState:
         self._rows: list[Optional[list[int]]] = [None] * n
 
     def add(self, v: Sequence[int]) -> bool:
-        """Absorb one vector; True iff the span changed."""
-        b = [int(x) for x in v]
+        """Absorb one vector; True iff the span changed.  An entry that is
+        not an integer raises TypeError, leaving the state unchanged."""
+        b = list(map(index, v))
         if len(b) != self.n:
             raise ValueError(f"vector has {len(b)} entries, expected {self.n}")
         rows = self._rows

@@ -38,7 +38,7 @@ one built per edge; only a nonzero cycle sum gets an outcome of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, index, sub
 from typing import Literal, Optional
 
 from .edges import CandidateEdge
@@ -83,7 +83,9 @@ class QuotientState:
         """Join source and dest for a forest edge, else report the cycle sum.
 
         A translation whose length is not n is refused with ValueError,
-        leaving the state unchanged.
+        and one with an entry that is not an integer (read by
+        ``operator.index``) with TypeError, leaving the state unchanged;
+        a tuple equal to the path sum is a zero cycle before either check.
         """
         _, source, dest, t = e
         m, offset = self.m, self._offset
@@ -98,7 +100,7 @@ class QuotientState:
         # every other outcome checks the length: map would cut the sum short
         if len(t) != self.n:
             raise ValueError(f"translation of length {len(t)} in {self.n}-D")
-        c = tuple(map(sub, path, map(int, t)))
+        c = tuple(map(sub, path, map(index, t)))
         if rs == rd:
             return EdgeOutcome("cycle", c) if any(c) else ZERO_CYCLE
         # relabel the smaller side so that offset(source) - offset(dest) == v

@@ -429,10 +429,9 @@ class TestShearedBccLadder:
     LLL-reduced cell, plain BCC, so the counts no longer grow with the
     reach; in the input cell reach 150 took 131 shells and 476 845 rows,
     and reach 1000 would take hundreds of shells.  The rows are counted as
-    ``_shell_blocks`` yields them, since a range of one translation skips
-    ``_decode``.  The pair boxes, and so the rows, follow the working
-    horizon's start, 1.6 times BCC's spacing: 35 rows (54 when it started
-    at twice the same spacing)."""
+    ``_shell_blocks`` yields them.  The pair boxes, and so the rows, follow
+    the working horizon's start, 1.6 times BCC's spacing: 35 rows (54 when
+    it started at twice the same spacing)."""
 
     @pytest.mark.parametrize(
         "reach, shells, rows",

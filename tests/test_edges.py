@@ -334,29 +334,6 @@ class TestShellBlocksInBoxes:
             ]
             assert sorted(got) == sorted(expected)
 
-    @pytest.mark.parametrize("first, last", [(0, 1), (2, 2), (0, 2)])
-    def test_one_translation_ranges_need_no_decode(self, monkeypatch, first, last):
-        # boxes that each meet the cube [-last, last]^3 in one vector:
-        # their offsets are the rows, nothing is decoded, and the rows of
-        # norm below ``first`` are dropped
-        def refuse(*args):
-            raise AssertionError("decoded a one-translation range")
-
-        monkeypatch.setattr(edges_module, "_decode", refuse)
-        lo_rows = [[0, 0, 0], [-1, 1, 0], [last, -3, 5], [-last, 0, 0]]
-        up_rows = [[0, 0, 0], [-1, 1, 0], [last, 3, 5], [-last, 0, 0]]
-        lo, up = (np.array(rows, dtype=np.int32).T for rows in (lo_rows, up_rows))
-        for block in (1, 2, 4096):
-            got = [
-                (int(b), tuple(v))
-                for t, box in edges_module._shell_blocks(
-                    lo, up, *shell_extents(3, first, last), block
-                )
-                for b, v in zip(box, t.tolist())
-            ]
-            expected = [(0, (0, 0, 0)), (1, (-1, 1, 0)), (3, (-last, 0, 0))]
-            assert sorted(got) == [(b, v) for b, v in expected if max(map(abs, v)) >= first]
-
     @pytest.mark.parametrize("first, last", STREAM_RANGES)
     def test_no_boxes(self, first, last):
         none = np.empty((3, 0), dtype=np.int32)
@@ -371,11 +348,10 @@ def near_far_blocks(lo, up, inner, outer, block):
     axis, near_k and far_k being the least and greatest |t_k| over the box
     (near_k is negative, so below any extent, when the box spans 0): the
     boxes with near_k <= outer[k] on every axis and far_k > inner[k] on
-    some axis; each clipped to the outer box; the clips of one translation
-    first, ``block`` boxes at a time; then the other clips in mixed-radix
-    order, ``block`` indices at a time, less the rows inside the inner
-    box, with no empty block.  ``outer`` exceeds ``inner`` on every axis,
-    as in every build.  Returns (rows, boxes) lists."""
+    some axis; each clipped to the outer box; the clips in box order, each
+    in mixed-radix order, ``block`` indices at a time, less the rows inside
+    the inner box, with no empty block.  ``outer`` exceeds ``inner`` on
+    every axis, as in every build.  Returns (rows, boxes) lists."""
     n = lo.shape[1]
     inner = [-1] * n if inner is None else list(inner)
     outer = list(outer)
@@ -390,21 +366,8 @@ def near_far_blocks(lo, up, inner, outer, block):
         b: [range(max(a, -e), min(z, e) + 1) for a, z, e in zip(lo[b], up[b], outer)]
         for b in hit
     }
-    ones = [
-        b
-        for b in hit
-        if math.prod(map(len, clip[b])) == 1 and outside([r[0] for r in clip[b]])
-    ]
+    rows = [(list(v), b) for b in hit for v in itertools.product(*clip[b])]
     blocks = []
-    for start in range(0, len(ones), block):
-        part = ones[start : start + block]
-        blocks.append(([[r[0] for r in clip[b]] for b in part], part))
-    rows = [
-        (list(v), b)
-        for b in hit
-        if math.prod(map(len, clip[b])) > 1
-        for v in itertools.product(*clip[b])
-    ]
     for start in range(0, len(rows), block):
         part = rows[start : start + block]
         kept = [(v, b) for v, b in part if outside(v)]
@@ -953,26 +916,26 @@ def reference_shell_blocks(lo, up, inner, outer, block):
 
 def reference_collect(self, inner, outer, lo, hi):
     """The former ``EdgeGenerator._collect``, kept as an oracle for the
-    pair kernel: it gathers the kept rows by boolean masks, runs the lex
-    test over every row of a block, and sums each row norm with NumPy's
-    own reduction, ``np.sqrt((a * a).sum(axis=-1))``."""
-    if hi != self._box_horizon:
-        self._set_boxes(hi)
+    pair kernel: it decodes no range of one translation, gives a block of
+    the self class alone its lengths as |tB|, gathers the kept rows by
+    boolean masks, runs the lex test over every row of a block, and sums
+    each row norm with NumPy's own reduction, ``np.sqrt((a * a).sum(axis=-1))``.
+    Only the boxes and the endpoints of their pairs are read from the
+    generator."""
+    self._set_boxes(hi)
     blocks = reference_shell_blocks(
         self._box_lo, self._box_up, inner, outer, edges_module._BLOCK
     )
     for t, box in blocks:
-        pair = self._live[box]
+        source, dest = self._live_src[box], self._live_dst[box]
         if self._unimodular is not None:
-            t = self._input_translations(t, pair)
+            t = self._input_translations(t, source, dest)
         shift = (t[:, None, :].astype(float) @ self._basis)[:, 0]
-        own = pair == self._self_pair
+        own = source == self._m
         if own.all():
             length = np.sqrt((shift * shift).sum(axis=-1))
         else:
-            src = self._cart.take(self._pair_src.take(pair), 0)
-            dst = self._cart.take(self._pair_dst.take(pair), 0)
-            x = (dst + shift) - src
+            x = (self._cart[dest] + shift) - self._cart[source]
             length = np.sqrt((x * x).sum(axis=-1))
         keep = (length > lo) & (length <= hi)
         if own.any():
@@ -986,8 +949,7 @@ def reference_collect(self, inner, outer, lo, hi):
                 np.repeat(own_t, self._m, axis=0),
             )
             keep &= ~own
-        pair = pair[keep]
-        yield length[keep], self._pair_src[pair], self._pair_dst[pair], t[keep]
+        yield length[keep], source[keep], dest[keep], t[keep]
 
 
 @st.composite
@@ -1021,9 +983,22 @@ def kernel_calls(draw):
     return pset, cell, build, rescan, scale, block
 
 
+def key_ordered_rows(parts):
+    """The rows of (length, source, dest, translation) ``parts`` as four
+    columns in full-key order, by one ``np.lexsort``; no columns for no
+    parts."""
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    if not columns:
+        return []
+    length, source, dest, translation = columns
+    order = np.lexsort((*translation.T[::-1], dest, source, length))
+    return [column[order] for column in columns]
+
+
 class TestKernelOracle:
-    """The pair kernel yields what the former one did: every part equal in
-    values, bit for bit, in dtype and in row order."""
+    """The pair kernel yields the rows the former one did: in full-key
+    order, every column equal to the former one's bit for bit and in
+    dtype.  Only the split of the rows into parts may differ."""
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_calls())
@@ -1043,14 +1018,12 @@ class TestKernelOracle:
                 inner, lo = None, hi / 2
             else:
                 inner, lo = (gen._extents(build - 1) if build > 1 else None), -math.inf
-            got = list(gen._collect(inner, outer, lo, hi))
-            expected = list(reference_collect(gen, inner, outer, lo, hi))
-        assert len(got) == len(expected)
-        for part, want in zip(got, expected):
-            for column, column_want in zip(part, want, strict=True):
-                assert column.dtype == column_want.dtype
-                assert column.shape == column_want.shape
-                assert column.tobytes() == column_want.tobytes()
+            got = key_ordered_rows(gen._collect(inner, outer, lo, hi))
+            expected = key_ordered_rows(reference_collect(gen, inner, outer, lo, hi))
+        for column, column_want in zip(got, expected, strict=True):
+            assert column.dtype == column_want.dtype
+            assert column.shape == column_want.shape
+            assert column.tobytes() == column_want.tobytes()
 
     def test_a_self_box_split_over_two_blocks(self, monkeypatch):
         # Z^2's cube is one self box of nine translations: blocks of seven

@@ -61,6 +61,12 @@ class TestSnf:
         with pytest.raises(ValueError):
             snf([[]])
 
+    def test_non_integer_entries_are_refused(self):
+        # they were truncated: factors (1, 2)
+        with pytest.raises(TypeError):
+            snf([[1.5, 0], [0, 2.7]])
+        assert snf(np.array([[2, 0], [0, 3]], dtype=np.int64)).factors == (1, 6)
+
     def test_known_textbook_example(self):
         # gcd of all entries is 2, so the first factor is 2
         res = check_decomposition([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -113,6 +119,12 @@ class TestInSpan:
         a = [[0], [1]]
         assert in_span(a, [0, 3])
         assert not in_span(a, [1, 0])
+
+    def test_non_integer_vector_is_refused(self):
+        # it was truncated to (0, 0), which is in every span
+        with pytest.raises(TypeError):
+            in_span([[1, 0], [0, 1]], [0.5, 0.5])
+        assert in_span([[2, 0], [0, 1]], np.array([4, 7], dtype=np.int32))
 
     def test_divisibility_blocks(self):
         a = [[2, 0], [0, 1]]
@@ -204,6 +216,18 @@ class TestOnlineSnf:
         assert state.add([0, 0, 0]) is False
         state.add([1, 2, 3])
         assert state.add([0, 0, 0]) is False
+
+    @pytest.mark.parametrize("vector", [[0.5, 1], [1.9, 0], np.array([1.0, 0.0])])
+    def test_non_integer_vector_is_refused(self, vector):
+        # truncated, [0.5, 1] changed the span and [1.9, 0] completed it
+        state = OnlineSnfState(2)
+        state.add([0, 1])
+        with pytest.raises(TypeError):
+            state.add(vector)
+        assert state._rows == [None, [0, 1]]
+        assert not state.is_complete()
+        assert state.add(np.array([1, 0], dtype=np.int64)) is True
+        assert state.is_complete()
 
     def test_incomplete_with_even_factors(self):
         state = OnlineSnfState(2)

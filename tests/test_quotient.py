@@ -175,6 +175,18 @@ class TestClassify:
         assert state._offset == offsets
 
 
+    @pytest.mark.parametrize("translation", [(0.5, 0), [0.5, 0], np.array([0.5, 0.0])])
+    def test_non_integer_translation_is_refused(self, translation):
+        # truncated, (0.5, 0) joined with offset (0, 0); a cycle sum too
+        state = QuotientState(3, 2)
+        state.classify_edge(edge(1, 2, (0, 1)))
+        before = snapshot(state)
+        for source, dest in ((0, 1), (1, 2)):
+            with pytest.raises(TypeError):
+                state.classify_edge(CandidateEdge(1.0, source, dest, translation))
+            assert snapshot(state) == before
+
+
 class TestPathSum:
     def test_reflexive_is_zero(self):
         state = QuotientState(2, 2)

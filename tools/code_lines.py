@@ -2,13 +2,18 @@
 a comment, a blank line or part of a module, class or function docstring.
 
 Usage: ``python tools/code_lines.py PATH...``, where each PATH is a ``.py``
-file or a directory searched for them.  Prints each file's count and the
-total.
+file or a directory searched for them, or ``REV:PATH``, that file or tree
+at git revision REV of the repository around the current directory, PATH
+taken from its top as ``git show`` takes it.  Prints each file's count and
+the total of each PATH, so ``python tools/code_lines.py HEAD~1:src/bridgelen
+src/bridgelen`` gives the counts before and after the last commit.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -34,32 +39,48 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    """Number of code lines in the Python file ``path``."""
-    with path.open("rb") as f:
-        tokens = list(tokenize.tokenize(f.readline))
+def code_lines(source: bytes) -> int:
+    """Number of code lines in the Python source ``source``."""
+    tokens = tokenize.tokenize(io.BytesIO(source).readline)
     lines = {
         row
         for tok in tokens
         if tok.type not in _LAYOUT
         for row in range(tok.start[0], tok.end[0] + 1)
     }
-    return len(lines - _docstring_lines(ast.parse(path.read_bytes())))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+
+
+def _sources(arg: str) -> list[tuple[str, bytes]]:
+    """(name, source) of each ``.py`` file that ``arg`` names: a file or a
+    directory on disk, or ``REV:PATH`` in git."""
+    rev, colon, rel = arg.partition(":")
+    if colon and not Path(arg).exists():
+        listed = _git("ls-tree", "-r", "--full-tree", "--name-only", rev, "--", rel)
+        names = [name for name in listed.decode().splitlines() if name.endswith(".py")]
+        if not names:
+            raise SystemExit(f"code_lines: no Python file at {arg}")
+        return [(f"{rev}:{name}", _git("show", f"{rev}:{name}")) for name in sorted(names)]
+    path = Path(arg)
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return [(str(file), file.read_bytes()) for file in files]
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    files = []
-    for arg in map(Path, argv):
-        files.extend(sorted(arg.rglob("*.py")) if arg.is_dir() else [arg])
-    total = 0
-    for path in files:
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    for arg in argv:
+        total = 0
+        for name, source in _sources(arg):
+            count = code_lines(source)
+            total += count
+            print(f"{count:6d}  {name}")
+        print(f"{total:6d}  total {arg}")
     return 0
 
 
